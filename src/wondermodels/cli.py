@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("series", "bruteforce", "both"),
                    default="both")
     p.add_argument("--trunc", type=int, default=None,
-                   help="series depth, default n+2")
+                   help="series depth for r >= 2, default n+2")
     _common_flags(p)
 
     f = sub.add_parser("fvector", help="f-vector of one nestohedron")
@@ -133,6 +133,9 @@ def _poincare_series(g: GroupId, trunc: int) -> QPolynomial:
 
 def run_poincare(args) -> int:
     g = GroupId(args.r, args.p, args.n)
+    if g.r == 1 and args.trunc is not None:
+        raise ValueError("--trunc does not apply to r = 1: the psi series "
+                         "sets its own depth from n")
     trunc = args.trunc if args.trunc is not None else g.n + 2
     if trunc < g.n:
         raise ValueError(f"--trunc {trunc} cannot reach t^{g.n}")

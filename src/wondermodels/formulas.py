@@ -47,38 +47,34 @@ from .series import (
 T = TruncatedSeries
 
 
-def _exp_product(trunc: int, factor_terms) -> TruncatedSeries:
-    """prod_i exp(arg_i) for arg_i given as term dicts, i up to trunc."""
-    out = T.one(trunc)
-    for terms in factor_terms:
-        arg = T(trunc, terms)
-        if not arg.is_zero():
-            out = mul(out, exp(arg))
-    return out
+def _blocks(r: int, trunc: int, literal_reading: bool = False) -> TruncatedSeries:
+    """sum_{i>=3} (z/r) q [i-2]_q (rt)^i / i!, the exponent of the block product.
+
+    Its t^i numerator is r^(i-1).  literal_reading swaps (rt)^i/i! for
+    (tr/i!)^i, which is not integral in this scaling.
+    """
+    if literal_reading:
+        return T(trunc, {(e + 1, i, 1, 0): Fraction(r ** (i - 1), math.factorial(i) ** i)
+                         for i in range(3, trunc + 1) for e in q_analog(i - 2)})
+    slices = [{} for _ in range(trunc + 1)]
+    for i in range(3, trunc + 1):
+        slices[i] = {(e + 1, 1, 0): r ** (i - 1) for e in q_analog(i - 2)}
+    return T.from_slices(trunc, slices)
 
 
 def psi_series(trunc: int) -> TruncatedSeries:
-    """e^t * prod_{i>=3} exp(z q [i-2]_q t^i / i!).
+    """e^t * prod_{i>=3} exp(z q [i-2]_q t^i / i!), which is k_series(1, trunc).
 
     The t^(n+s-1) z^s coefficient times (n+s-1)! is the q-count of basis
     monomials over nested sets of s blocks on n points.
     """
-    factors = []
-    for i in range(3, trunc + 1):
-        c = Fraction(1, math.factorial(i))
-        factors.append({(e + 1, i, 1, 0): c for e in q_analog(i - 2)})
-    out = mul(exp(T.monomial(trunc, 1, et=1)), _exp_product(trunc, factors))
-    return assert_degree_bounds(out)
+    return k_series(1, trunc)
 
 
 def k_series(r: int, trunc: int) -> TruncatedSeries:
-    """e^t * prod_{i>=3} exp((z/r) q [i-2]_q (rt)^i / i!); k_series(1,.) is psi."""
-    factors = []
-    for i in range(3, trunc + 1):
-        c = Fraction(r ** (i - 1), math.factorial(i))
-        factors.append({(e + 1, i, 1, 0): c for e in q_analog(i - 2)})
-    out = mul(exp(T.monomial(trunc, 1, et=1)), _exp_product(trunc, factors))
-    return assert_degree_bounds(out)
+    """e^t * prod_{i>=3} exp((z/r) q [i-2]_q (rt)^i / i!), as one exp."""
+    arg = add(T.monomial(trunc, 1, et=1), _blocks(r, trunc))
+    return assert_degree_bounds(exp(arg))
 
 
 def gamma_series(r: int, trunc: int, literal_reading: bool = False) -> TruncatedSeries:
@@ -90,20 +86,9 @@ def gamma_series(r: int, trunc: int, literal_reading: bool = False) -> Truncated
     only so the discrepancy can be demonstrated (it fails the brute-force
     cross-check at n = 4).
     """
-    pre_terms = {}
-    for i in range(2, trunc + 2):
-        c = Fraction(1, math.factorial(i - 1))
-        for e in q_analog(i - 1):
-            pre_terms[(e + 1, i - 1, 0, 0)] = pre_terms.get((e + 1, i - 1, 0, 0), 0) + c
-    pre = T(trunc, pre_terms)
-    factors = []
-    for i in range(3, trunc + 1):
-        if literal_reading:
-            c = Fraction(r ** (i - 1), math.factorial(i) ** i)
-        else:
-            c = Fraction(r ** (i - 1), math.factorial(i))
-        factors.append({(e + 1, i, 1, 0): c for e in q_analog(i - 2)})
-    return assert_degree_bounds(mul(pre, _exp_product(trunc, factors)))
+    pre = T.from_slices(trunc, [{}] + [{(e + 1, 0, 0): 1 for e in q_analog(m)}
+                                       for m in range(1, trunc + 1)])
+    return assert_degree_bounds(mul(pre, exp(_blocks(r, trunc, literal_reading))))
 
 
 def _working_trunc_3(trunc: int) -> int:
@@ -152,6 +137,14 @@ def phi_rr(r: int, trunc: int) -> TruncatedSeries:
     return mul(twist, full)
 
 
+def _exact(num: int, den: int, problem: str) -> int:
+    """num / den, which must be an integer; ArithmeticError(problem) if not."""
+    count, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(problem)
+    return count
+
+
 def poincare_from_psi(n: int) -> QPolynomial:
     """Poincare polynomial of the model for the symmetric group S_n.
 
@@ -164,30 +157,23 @@ def poincare_from_psi(n: int) -> QPolynomial:
     s_psi = psi_series(n - 1 + smax)
     out: dict[int, int] = {}
     for s in range(smax + 1):
-        et = n + s - 1
-        fact = math.factorial(et)
-        for (eq, et2, ez, ew), c in s_psi.terms.items():
-            if (et2, ez, ew) == (et, s, 0):
-                val = c * fact
-                if val.denominator != 1:
-                    raise ArithmeticError(f"non-integer count at q^{eq} z^{s}")
-                out[eq] = out.get(eq, 0) + val.numerator
+        for (eq, ez, ew), num in s_psi.slices[n + s - 1].items():
+            if ez == s and ew == 0:
+                count = _exact(num, s_psi.den, f"non-integer count at q^{eq} z^{s}")
+                out[eq] = out.get(eq, 0) + count
     return QPolynomial(out)
 
 
 def poincare_from_phi(phi: TruncatedSeries, n: int) -> QPolynomial:
     """n! times the t^n coefficient of a Poincare series, as a q-polynomial."""
-    if n > phi.trunc:
+    if not 0 <= n <= phi.trunc:
         raise ValueError(f"series truncated at {phi.trunc}, need t^{n}")
     out: dict[int, int] = {}
-    fact = math.factorial(n)
-    for (eq, et, ez, ew), c in phi.terms.items():
-        if et == n:
-            assert ez == 0 and ew == 0, "Poincare series must be z- and w-free"
-            val = c * fact
-            if val.denominator != 1:
-                raise ArithmeticError(f"non-integer count at q^{eq} t^{n}")
-            out[eq] = out.get(eq, 0) + val.numerator
+    for (eq, ez, ew), num in phi.slices[n].items():
+        if ez or ew:
+            raise ArithmeticError("Poincare series must be z- and w-free, "
+                                  f"found q^{eq} t^{n} z^{ez} w^{ew}")
+        out[eq] = _exact(num, phi.den, f"non-integer count at q^{eq} t^{n}")
     return QPolynomial(out)
 
 
@@ -197,7 +183,8 @@ def f_typeA(trunc: int) -> TruncatedSeries:
     (n+s-1)! times the z^s t^(n+s-1) coefficient counts plane rooted forests
     with s internal vertices on n labeled leaves.
     """
-    arg = T(trunc, {(0, i, 1, 0): Fraction(1) for i in range(2, trunc + 1)})
+    arg = T.from_slices(trunc, [{}, {}] + [{(0, 1, 0): math.factorial(i)}
+                                           for i in range(2, trunc + 1)])
     return add(exp(arg), scale(T.one(trunc), -1))
 
 
@@ -218,14 +205,10 @@ def fvector_typeA(n: int) -> list[int]:
     if n < 2:
         raise ValueError("need n >= 2")
     s = f_typeA(2 * n - 2)
-    out = []
-    for k in range(1, n):
-        val = coeff(s, et=n + k - 1, ez=k) \
-            * Fraction(math.factorial(n + k - 1), math.factorial(n))
-        if val.denominator != 1:
-            raise ArithmeticError(f"non-integer face count at z^{k}")
-        out.append(val.numerator)
-    return out
+    den = s.den * math.factorial(n)
+    return [_exact(s.slices[n + k - 1].get((0, k, 0), 0), den,
+                   f"non-integer face count at z^{k}")
+            for k in range(1, n)]
 
 
 def x_typeA(trunc: int) -> TruncatedSeries:
@@ -237,7 +220,8 @@ def x_typeA(trunc: int) -> TruncatedSeries:
     closed manifolds.
     """
     w = 2 * trunc
-    arg = T(w, {(0, i, 1, 0): Fraction((-1) ** i, 2) for i in range(2, w + 1)})
+    arg = T.from_slices(w, [{}, {}] + [{(0, 1, 0): (-1) ** i * math.factorial(i) // 2}
+                                       for i in range(2, w + 1)])
     src = add(exp(arg), scale(T.one(w), -1))
     return truncated(subst_z_derivative(src), trunc)
 
@@ -256,8 +240,9 @@ def tilde_gamma(trunc: int) -> TruncatedSeries:
     """2/(1-2t)^2 * prod_{j>=2} exp(w z (2t)^j / 2), the type B block series."""
     inv = invert_one_minus(T.monomial(trunc, 2, et=1))
     pre = scale(mul(inv, inv), 2)
-    factors = [{(0, j, 1, 1): Fraction(2 ** (j - 1))} for j in range(2, trunc + 1)]
-    return assert_degree_bounds(mul(pre, _exp_product(trunc, factors)))
+    arg = T.from_slices(trunc, [{}, {}] + [{(0, 1, 1): 2 ** (j - 1) * math.factorial(j)}
+                                           for j in range(2, trunc + 1)])
+    return assert_degree_bounds(mul(pre, exp(arg)))
 
 
 def tilde_big_gamma(trunc: int) -> TruncatedSeries:
@@ -301,14 +286,11 @@ def fvector_from_fcy(variant: str, n: int) -> list[int]:
     if variant == "D" and n < 3:
         raise ValueError("type D needs n >= 3")
     s_cy = f_cy(variant, n)
-    divisor = 2 ** n if variant == "B" else 2 ** (n - 1)
-    out = []
-    for s in range(1, n + 1):
-        val = coeff(s_cy, et=n, ew=s) / divisor
-        if val.denominator != 1:
-            raise ArithmeticError(f"non-integer face count at w^{s} t^{n}")
-        out.append(val.numerator)
-    return out
+    # coefficient / 2^n (B) or / 2^(n-1) (D); the numerator is over den * n!
+    den = s_cy.den * (2 ** n if variant == "B" else 2 ** (n - 1)) * math.factorial(n)
+    return [_exact(s_cy.slices[n].get((0, 0, s), 0), den,
+                   f"non-integer face count at w^{s} t^{n}")
+            for s in range(1, n + 1)]
 
 
 D3_DEGENERATE_NOTE = ("D with n = 3 is reducible; the reported values are "

@@ -1,11 +1,28 @@
 """Exact truncated power series in q, t, z, w over the rationals.
 
-A series is a finite dict mapping exponent tuples (eq, et, ez, ew) to
-nonzero Fractions, together with a truncation order: every term with
-t-degree above the truncation is discarded, terms of any q/z/w degree
-are kept.  Truncation is driven by t alone because in every series this
-package builds, z and w only ever enter in the company of at least as
-many powers of t, so a t-bound caps the whole computation.
+Series here are exponential in t: degree n rides on t^n/n!.  A series
+stores one dict per t-degree, `slices[et]`, mapping (eq, ez, ew) to an
+integer numerator, plus one positive integer `den` shared by the whole
+series, so that the coefficient of q^eq t^et z^ez w^ew is
+
+    num / (den * et!).
+
+Every series the formula layer builds is integral in this scaling
+(den = 1), so the kernel multiplies ints and never builds a Fraction;
+only substituting a rational for w, or a deliberately misread formula,
+brings in den > 1.  The form is canonical: no stored numerator is zero,
+and den shares no factor with all of them.  `terms` gives a read-only
+Fraction view keyed by (eq, et, ez, ew), built on access.
+
+A product is the binomial convolution C_n = sum_k binom(n,k) A_k B_(n-k)
+of the slices, and exp and 1/(1-s) are the O(trunc^2) coefficient
+recurrences of Knuth, TAOCP vol. 2, 4.7.  The z -> d/dt substitution and
+t-integration only move numerators between slices.
+
+Truncation is driven by t alone: `slices` has trunc + 1 entries, and terms
+of any q/z/w degree are kept.  That bounds the whole computation because
+in every series this package builds, z and w only ever enter in the
+company of at least as many powers of t.
 
 All arithmetic is exact; nothing here ever touches a float.
 """
@@ -14,57 +31,89 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 # exponent order inside a key: (eq, et, ez, ew)
 Key = tuple[int, int, int, int]
+# one t-slice: (eq, ez, ew) -> integer numerator
+Slice = dict[tuple[int, int, int], int]
 
 
 class TruncatedSeries:
-    """Finite table of monomials c * q^eq t^et z^ez w^ew, exact through t^trunc.
+    """Monomials num/(den * et!) * q^eq t^et z^ez w^ew, exact through t^trunc.
 
     Instances are treated as immutable: operations return new series and
-    never mutate `terms` after construction.
+    never mutate `slices` after construction, so slices may be shared.
     """
 
-    __slots__ = ("trunc", "terms")
+    __slots__ = ("trunc", "slices", "den")
 
     def __init__(self, trunc: int, terms: dict[Key, Fraction] | None = None):
+        """Series from a dict of Fraction (or int) coefficients."""
         if trunc < 0:
             raise ValueError("truncation order must be >= 0")
-        self.trunc = trunc
-        clean: dict[Key, Fraction] = {}
+        scaled: dict[Key, Fraction] = {}
         for key, c in (terms or {}).items():
-            eq, et, ez, ew = key
-            if min(eq, et, ez, ew) < 0:
+            if min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
-            if et > trunc:
-                continue
             c = Fraction(c)
-            if c != 0:
-                clean[key] = c
-        self.terms = clean
+            if key[1] <= trunc and c:
+                scaled[key] = c * math.factorial(key[1])
+        den = math.lcm(*(c.denominator for c in scaled.values()))
+        self.trunc = trunc
+        self.slices: list[Slice] = [{} for _ in range(trunc + 1)]
+        self.den = den
+        for (eq, et, ez, ew), c in scaled.items():
+            self.slices[et][eq, ez, ew] = c.numerator * (den // c.denominator)
+
+    @classmethod
+    def from_slices(cls, trunc: int, slices: list[Slice], den: int = 1) -> "TruncatedSeries":
+        """Series with numerators slices[et] over den * et!.
+
+        Slices past trunc are dropped and missing ones are empty.  Zero
+        numerators are dropped and den is reduced; the given dicts are
+        never mutated.
+        """
+        slices = [sl if all(sl.values()) else {k: v for k, v in sl.items() if v}
+                  for sl in slices[:trunc + 1]]
+        slices += [{} for _ in range(trunc + 1 - len(slices))]
+        if den != 1:
+            # a zero series gets g = den, hence den = 1
+            g = math.gcd(den, *(v for sl in slices for v in sl.values()))
+            if g != 1:
+                den //= g
+                slices = [{k: v // g for k, v in sl.items()} for sl in slices]
+        s = cls.__new__(cls)
+        s.trunc, s.slices, s.den = trunc, slices, den
+        return s
 
     @classmethod
     def zero(cls, trunc: int) -> "TruncatedSeries":
-        return cls(trunc, {})
+        return cls.from_slices(trunc, [])
 
     @classmethod
     def one(cls, trunc: int) -> "TruncatedSeries":
-        return cls(trunc, {(0, 0, 0, 0): Fraction(1)})
+        return cls.from_slices(trunc, [{(0, 0, 0): 1}])
 
     @classmethod
     def monomial(cls, trunc: int, coeff, eq: int = 0, et: int = 0,
                  ez: int = 0, ew: int = 0) -> "TruncatedSeries":
-        return cls(trunc, {(eq, et, ez, ew): Fraction(coeff)})
+        return cls(trunc, {(eq, et, ez, ew): coeff})
+
+    @property
+    def terms(self) -> "Terms":
+        """Read-only Fraction view of the coefficients, keyed (eq, et, ez, ew)."""
+        return Terms(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.trunc == other.trunc and self.terms == other.terms
+        return (self.trunc, self.den, self.slices) == (other.trunc, other.den, other.slices)
 
     def __hash__(self):
-        return hash((self.trunc, frozenset(self.terms.items())))
+        return hash((self.trunc, self.den,
+                     tuple(frozenset(sl.items()) for sl in self.slices)))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return add(self, other)
@@ -82,108 +131,168 @@ class TruncatedSeries:
         return format_series(self)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self.slices)
 
 
-def _sort_key(key: Key):
-    eq, et, ez, ew = key
-    return (et, ez, ew, eq)
+class Terms(Mapping):
+    """Read-only view {(eq, et, ez, ew): Fraction} of a series.
+
+    Each lookup builds its Fraction afresh; nothing is cached, and len()
+    and iteration over keys build none.
+    """
+
+    __slots__ = ("_s",)
+
+    def __init__(self, s: TruncatedSeries):
+        self._s = s
+
+    def __len__(self) -> int:
+        return sum(map(len, self._s.slices))
+
+    def __iter__(self):
+        for et, sl in enumerate(self._s.slices):
+            for eq, ez, ew in sl:
+                yield eq, et, ez, ew
+
+    def __getitem__(self, key: Key) -> Fraction:
+        eq, et, ez, ew = key
+        s = self._s
+        if not 0 <= et <= s.trunc or (eq, ez, ew) not in s.slices[et]:
+            raise KeyError(key)
+        return Fraction(s.slices[et][eq, ez, ew], s.den * math.factorial(et))
+
+
+def _sorted_terms(s: TruncatedSeries):
+    """(key, coefficient) pairs sorted by (t, z, w, q) degree."""
+    for et, sl in enumerate(s.slices):
+        scale_den = s.den * math.factorial(et)
+        for eq, ez, ew in sorted(sl, key=lambda m: (m[1], m[2], m[0])):
+            yield (eq, et, ez, ew), Fraction(sl[eq, ez, ew], scale_den)
 
 
 def format_series(s: TruncatedSeries) -> str:
     """Human-readable form, terms sorted by (t, z, w, q) degree."""
-    if not s.terms:
-        return "0"
     parts = []
-    for key in sorted(s.terms, key=_sort_key):
-        eq, et, ez, ew = key
-        c = s.terms[key]
+    for key, c in _sorted_terms(s):
         factors = []
-        if c != 1 or (eq, et, ez, ew) == (0, 0, 0, 0):
+        if c != 1 or key == (0, 0, 0, 0):
             factors.append(str(c))
-        for name, e in (("q", eq), ("t", et), ("z", ez), ("w", ew)):
+        for name, e in zip("qtzw", key):
             if e == 1:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
         parts.append("*".join(factors))
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
+
+
+def _same_trunc(a: TruncatedSeries, b: TruncatedSeries) -> int:
+    if a.trunc != b.trunc:
+        raise ValueError(f"truncation mismatch: {a.trunc} != {b.trunc}")
+    return a.trunc
 
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Sum of two series with identical truncation order."""
-    if a.trunc != b.trunc:
-        raise ValueError(f"truncation mismatch: {a.trunc} != {b.trunc}")
-    terms = dict(a.terms)
-    for key, c in b.terms.items():
-        new = terms.get(key, 0) + c
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
-    return TruncatedSeries(a.trunc, terms)
+    trunc = _same_trunc(a, b)
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    slices = []
+    for sa, sb in zip(a.slices, b.slices):
+        out = {k: v * fa for k, v in sa.items()}
+        for k, v in sb.items():
+            out[k] = out.get(k, 0) + v * fb
+        slices.append(out)
+    return TruncatedSeries.from_slices(trunc, slices, den)
 
 
 def scale(s: TruncatedSeries, c) -> TruncatedSeries:
     c = Fraction(c)
-    return TruncatedSeries(s.trunc, {k: v * c for k, v in s.terms.items()})
+    slices = [{k: v * c.numerator for k, v in sl.items()} for sl in s.slices]
+    return TruncatedSeries.from_slices(s.trunc, slices, s.den * c.denominator)
+
+
+def _mul_into(acc: Slice, x: Slice, y: Slice, c: int) -> None:
+    """acc += c * x * y, the slices read as polynomials in q, z, w."""
+    if len(x) > len(y):
+        x, y = y, x
+    get = acc.get
+    items = y.items()
+    for (q1, z1, w1), c1 in x.items():
+        c1 *= c
+        for (q2, z2, w2), c2 in items:
+            key = (q1 + q2, z1 + z2, w1 + w2)
+            acc[key] = get(key, 0) + c1 * c2
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product, truncated in t."""
-    if a.trunc != b.trunc:
-        raise ValueError(f"truncation mismatch: {a.trunc} != {b.trunc}")
-    trunc = a.trunc
-    terms: dict[Key, Fraction] = {}
-    # iterate over the smaller operand's terms in the outer loop
-    small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    for (q1, t1, z1, w1), c1 in small.items():
-        for (q2, t2, z2, w2), c2 in big.items():
-            et = t1 + t2
-            if et > trunc:
-                continue
-            key = (q1 + q2, et, z1 + z2, w1 + w2)
-            new = terms.get(key, 0) + c1 * c2
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-    return TruncatedSeries(trunc, terms)
+    """Product, truncated in t: C_n = sum_k binom(n, k) A_k B_(n-k)."""
+    trunc = _same_trunc(a, b)
+    A, B = a.slices, b.slices
+    support_a = [k for k, sl in enumerate(A) if sl]
+    slices = []
+    for n in range(trunc + 1):
+        acc: Slice = {}
+        for k in support_a:
+            if k > n:
+                break
+            if B[n - k]:
+                _mul_into(acc, A[k], B[n - k], math.comb(n, k))
+        slices.append(acc)
+    return TruncatedSeries.from_slices(trunc, slices, a.den * b.den)
 
 
 def _require_positive_t_valuation(s: TruncatedSeries, op: str) -> None:
-    # A t-free term (constant included) would make the geometric/exponential
-    # sum below run forever under t-truncation.
-    for (eq, et, ez, ew) in s.terms:
-        if et == 0:
-            raise ValueError(f"{op} needs every term to carry positive t-degree, "
-                             f"found q^{eq} z^{ez} w^{ew} term")
+    # The recurrences below need S_0 = 0: the powers of a t-free term
+    # (constant included) never leave the t-truncation.
+    for eq, ez, ew in s.slices[0]:
+        raise ValueError(f"{op} needs every term to carry positive t-degree, "
+                         f"found q^{eq} z^{ez} w^{ew} term")
+
+
+def _recurrence(s: TruncatedSeries, weight) -> TruncatedSeries:
+    """A with A_0 = 1 and A_n = sum_{k=1..n} weight(n, k) S_k A_(n-k).
+
+    With S_k = s_k / D, degree n of A carries D^n: its numerators obey
+    a_n = sum weight(n, k) (s_k D^(k-1)) a_(n-k), and are brought to the
+    common denominator D^trunc at the end.
+    """
+    trunc, D = s.trunc, s.den
+    S = s.slices
+    if D != 1:
+        S = [{k: v * D ** (m - 1) for k, v in sl.items()} if m else sl
+             for m, sl in enumerate(S)]
+    support = [k for k, sl in enumerate(S) if sl]
+    A: list[Slice] = [{(0, 0, 0): 1}]
+    for n in range(1, trunc + 1):
+        acc: Slice = {}
+        for k in support:
+            if k > n:
+                break
+            if A[n - k]:
+                _mul_into(acc, S[k], A[n - k], weight(n, k))
+        A.append(acc)
+    if D != 1:
+        A = [{k: v * D ** (trunc - n) for k, v in sl.items()} for n, sl in enumerate(A)]
+    return TruncatedSeries.from_slices(trunc, A, D ** trunc)
 
 
 def exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp(s) = sum s^k / k!  for s with zero constant term."""
+    """exp(s) for s with zero constant term.
+
+    From A' = S' A: A_n = sum_{k>=1} binom(n-1, k-1) S_k A_(n-k).
+    """
     _require_positive_t_valuation(s, "exp")
-    result = TruncatedSeries.one(s.trunc)
-    power = TruncatedSeries.one(s.trunc)
-    for k in range(1, s.trunc + 1):
-        power = scale(mul(power, s), Fraction(1, k))
-        if power.is_zero():
-            break
-        result = add(result, power)
-    return result
+    return _recurrence(s, lambda n, k: math.comb(n - 1, k - 1))
 
 
 def invert_one_minus(s: TruncatedSeries) -> TruncatedSeries:
-    """1 / (1 - s) = sum s^k  for s with zero constant term."""
+    """1 / (1 - s) for s with zero constant term.
+
+    From A = 1 + S A: A_n = sum_{k>=1} binom(n, k) S_k A_(n-k).
+    """
     _require_positive_t_valuation(s, "invert_one_minus")
-    result = TruncatedSeries.one(s.trunc)
-    power = TruncatedSeries.one(s.trunc)
-    for _ in range(s.trunc):
-        power = mul(power, s)
-        if power.is_zero():
-            break
-        result = add(result, power)
-    return result
+    return _recurrence(s, math.comb)
 
 
 def q_analog(j: int) -> dict[int, int]:
@@ -197,31 +306,26 @@ def subst_z_derivative(s: TruncatedSeries) -> TruncatedSeries:
     """Replace each power of z by the matching t-derivative.
 
     Per term: c q^a z^k t^m w^b  ->  c q^a w^b * m!/(m-k)! * t^(m-k),
-    dropped entirely when k > m.
+    dropped entirely when k > m.  On numerators over den * m! this keeps
+    the numerator and moves it from slice m to slice m-k.
     """
-    terms: dict[Key, Fraction] = {}
-    for (eq, et, ez, ew), c in s.terms.items():
-        if ez > et:
-            continue
-        key = (eq, et - ez, 0, ew)
-        new = terms.get(key, 0) + c * math.perm(et, ez)
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
-    return TruncatedSeries(s.trunc, terms)
+    slices: list[Slice] = [{} for _ in s.slices]
+    for m, sl in enumerate(s.slices):
+        for (eq, ez, ew), v in sl.items():
+            if ez <= m:
+                out = slices[m - ez]
+                out[eq, 0, ew] = out.get((eq, 0, ew), 0) + v
+    return TruncatedSeries.from_slices(s.trunc, slices, s.den)
 
 
 def integrate_t(s: TruncatedSeries) -> TruncatedSeries:
-    """Term-wise t-integral with zero constant; input must be z-free."""
-    terms: dict[Key, Fraction] = {}
-    for (eq, et, ez, ew), c in s.terms.items():
-        if ez:
-            raise ValueError("integrate_t on a series still containing z")
-        if et + 1 > s.trunc:
-            continue
-        terms[(eq, et + 1, 0, ew)] = c / (et + 1)
-    return TruncatedSeries(s.trunc, terms)
+    """Term-wise t-integral with zero constant; input must be z-free.
+
+    The integral of num t^m/m! is num t^(m+1)/(m+1)!: slices shift by one.
+    """
+    if any(ez for sl in s.slices for _, ez, _ in sl):
+        raise ValueError("integrate_t on a series still containing z")
+    return TruncatedSeries.from_slices(s.trunc, [{}] + s.slices, s.den)
 
 
 def coeff(s: TruncatedSeries, eq: int = 0, et: int = 0, ez: int = 0,
@@ -229,40 +333,37 @@ def coeff(s: TruncatedSeries, eq: int = 0, et: int = 0, ez: int = 0,
     """Coefficient of q^eq t^et z^ez w^ew; t-degree must be within trunc."""
     if et > s.trunc:
         raise ValueError(f"t-degree {et} beyond truncation {s.trunc}")
-    return s.terms.get((eq, et, ez, ew), Fraction(0))
+    if et < 0:
+        return Fraction(0)
+    return Fraction(s.slices[et].get((eq, ez, ew), 0), s.den * math.factorial(et))
 
 
 def negate_t(s: TruncatedSeries) -> TruncatedSeries:
     """t -> -t."""
-    return TruncatedSeries(
-        s.trunc, {k: (-c if k[1] % 2 else c) for k, c in s.terms.items()})
+    slices = [{k: -v for k, v in sl.items()} if et % 2 else sl
+              for et, sl in enumerate(s.slices)]
+    return TruncatedSeries.from_slices(s.trunc, slices, s.den)
 
 
 def eval_w(s: TruncatedSeries, v) -> TruncatedSeries:
-    """Substitute a rational value for w."""
+    """Substitute a rational value a/b for w: over den * b^W, W the top w-degree."""
     v = Fraction(v)
-    terms: dict[Key, Fraction] = {}
-    for (eq, et, ez, ew), c in s.terms.items():
-        key = (eq, et, ez, 0)
-        new = terms.get(key, 0) + c * v ** ew
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
-    return TruncatedSeries(s.trunc, terms)
-
-
-def scale_t(s: TruncatedSeries, c) -> TruncatedSeries:
-    """t -> c*t for rational c."""
-    c = Fraction(c)
-    return TruncatedSeries(s.trunc, {k: v * c ** k[1] for k, v in s.terms.items()})
+    a, b = v.numerator, v.denominator
+    top = max((ew for sl in s.slices for _, _, ew in sl), default=0)
+    slices = []
+    for sl in s.slices:
+        out: Slice = {}
+        for (eq, ez, ew), c in sl.items():
+            out[eq, ez, 0] = out.get((eq, ez, 0), 0) + c * a ** ew * b ** (top - ew)
+        slices.append(out)
+    return TruncatedSeries.from_slices(s.trunc, slices, s.den * b ** top)
 
 
 def truncated(s: TruncatedSeries, trunc: int) -> TruncatedSeries:
     """The same series re-truncated to a lower (or equal) order."""
     if trunc > s.trunc:
         raise ValueError(f"cannot extend truncation {s.trunc} to {trunc}")
-    return TruncatedSeries(trunc, {k: c for k, c in s.terms.items() if k[1] <= trunc})
+    return TruncatedSeries.from_slices(trunc, s.slices, s.den)
 
 
 def assert_degree_bounds(s: TruncatedSeries) -> TruncatedSeries:
@@ -270,22 +371,21 @@ def assert_degree_bounds(s: TruncatedSeries) -> TruncatedSeries:
 
     Holds for every series the formula layer produces; enforced there as a
     cheap structural sanity check (it is what makes t-truncation sound).
+    Raises ArithmeticError, so the check also runs under python -O.
     """
-    for (eq, et, ez, ew) in s.terms:
-        assert ez <= et and ew <= et, \
-            f"term q^{eq} t^{et} z^{ez} w^{ew} breaks the z/w <= t bound"
+    for et, sl in enumerate(s.slices):
+        for eq, ez, ew in sl:
+            if ez > et or ew > et:
+                raise ArithmeticError(
+                    f"term q^{eq} t^{et} z^{ez} w^{ew} breaks the z/w <= t bound")
     return s
 
 
 def to_records(s: TruncatedSeries) -> list[dict]:
     """JSON-ready term list, sorted by (t, z, w, q) exponents."""
-    out = []
-    for key in sorted(s.terms, key=_sort_key):
-        eq, et, ez, ew = key
-        c = s.terms[key]
-        out.append({"q": eq, "t": et, "z": ez, "w": ew,
-                    "num": c.numerator, "den": c.denominator})
-    return out
+    return [{"q": eq, "t": et, "z": ez, "w": ew,
+             "num": c.numerator, "den": c.denominator}
+            for (eq, et, ez, ew), c in _sorted_terms(s)]
 
 
 def dump_json(s: TruncatedSeries, name: str = "") -> str:
@@ -361,8 +461,3 @@ class QPolynomial:
                 head = "" if c == 1 else f"{c}*"
                 parts.append(f"{head}q" if e == 1 else f"{head}q^{e}")
         return " + ".join(parts)
-
-
-def qpoly_one_to(d: int) -> QPolynomial:
-    """1 + q + ... + q^(d-1), the q-analog of d as a polynomial; 0 for d <= 0."""
-    return QPolynomial({e: 1 for e in range(max(d, 0))})

@@ -74,6 +74,14 @@ def test_poincare_trunc_too_small(capsys):
     assert code == 4
 
 
+def test_poincare_trunc_rejected_for_r1(capsys):
+    code = cli.main(["poincare", "--r", "1", "--n", "4", "--method", "series",
+                     "--trunc", "9"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "--trunc does not apply to r = 1" in captured.err
+
+
 def test_poincare_missing_n_exits_4(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["poincare", "--r", "2", "--p", "1"])

@@ -1,9 +1,13 @@
+import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wondermodels.formulas import big_gamma, gamma_series
 from wondermodels.series import (
     QPolynomial,
     TruncatedSeries,
@@ -19,9 +23,7 @@ from wondermodels.series import (
     mul,
     negate_t,
     q_analog,
-    qpoly_one_to,
     scale,
-    scale_t,
     subst_z_derivative,
     to_records,
     truncated,
@@ -92,7 +94,6 @@ def test_q_analog():
     assert q_analog(0) == {}
     assert q_analog(1) == {0: 1}
     assert q_analog(3) == {0: 1, 1: 1, 2: 1}
-    assert qpoly_one_to(3) == QPolynomial({0: 1, 1: 1, 2: 1})
     with pytest.raises(ValueError):
         q_analog(-1)
 
@@ -145,11 +146,6 @@ def test_eval_w_merges():
     assert eval_w(s, -1) == T.zero(3)
 
 
-def test_scale_t():
-    s = add(T.one(3), T.monomial(3, 1, et=2))
-    assert scale_t(s, 2) == add(T.one(3), T.monomial(3, 4, et=2))
-
-
 def test_truncated():
     s = add(T.monomial(5, 1, et=5), T.one(5))
     cut = truncated(s, 3)
@@ -160,7 +156,7 @@ def test_truncated():
 
 def test_degree_bound_check():
     assert_degree_bounds(T.monomial(4, 1, et=3, ez=2, ew=1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError):
         assert_degree_bounds(T.monomial(4, 1, et=1, ez=2))
 
 
@@ -229,3 +225,162 @@ def test_mul_commutes_and_distributes(a, b):
     assert mul(a, b) == mul(b, a)
     c = TruncatedSeries.monomial(a.trunc, Fraction(1, 3), eq=1, et=1)
     assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+
+
+# Reference kernel: the Fraction arithmetic the integer kernel replaced,
+# on plain {(eq, et, ez, ew): Fraction} dicts.  Products are Cauchy
+# products, exp and 1/(1-s) are sums of powers.
+
+ONE = (0, 0, 0, 0)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_mul(trunc, a, b):
+    out = {}
+    for (q1, t1, z1, w1), c1 in a.items():
+        for (q2, t2, z2, w2), c2 in b.items():
+            if t1 + t2 <= trunc:
+                key = (q1 + q2, t1 + t2, z1 + z2, w1 + w2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_exp(trunc, s):
+    result = power = {ONE: Fraction(1)}
+    for k in range(1, trunc + 1):
+        power = {key: c / k for key, c in ref_mul(trunc, power, s).items()}
+        result = ref_add(result, power)
+    return result
+
+
+def ref_invert_one_minus(trunc, s):
+    result = power = {ONE: Fraction(1)}
+    for _ in range(trunc):
+        power = ref_mul(trunc, power, s)
+        result = ref_add(result, power)
+    return result
+
+
+def ref_subst_z_derivative(s):
+    out = {}
+    for (eq, et, ez, ew), c in s.items():
+        if ez <= et:
+            key = (eq, et - ez, 0, ew)
+            out[key] = out.get(key, 0) + c * math.perm(et, ez)
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_integrate_t(trunc, s):
+    return {(eq, et + 1, 0, ew): c / (et + 1)
+            for (eq, et, ez, ew), c in s.items() if et < trunc}
+
+
+def ref_eval_w(s, v):
+    out = {}
+    for (eq, et, ez, ew), c in s.items():
+        out[eq, et, ez, 0] = out.get((eq, et, ez, 0), 0) + c * Fraction(v) ** ew
+    return {k: c for k, c in out.items() if c}
+
+
+@st.composite
+def series_tuple(draw, count):
+    """count random series sharing one truncation order in 1..6."""
+    trunc = draw(st.integers(1, 6))
+    return [draw(small_series(trunc)) for _ in range(count)]
+
+
+@given(series_tuple(2))
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_reference(ab):
+    a, b = ab
+    assert dict(mul(a, b).terms) == ref_mul(a.trunc, a.terms, b.terms)
+
+
+@given(series_tuple(1))
+@settings(max_examples=150, deadline=None)
+def test_exp_matches_reference(s1):
+    [s] = s1
+    assert dict(exp(s).terms) == ref_exp(s.trunc, s.terms)
+
+
+@given(series_tuple(1))
+@settings(max_examples=150, deadline=None)
+def test_invert_one_minus_matches_reference(s1):
+    [s] = s1
+    assert dict(invert_one_minus(s).terms) == ref_invert_one_minus(s.trunc, s.terms)
+
+
+@given(series_tuple(1), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+@settings(max_examples=100, deadline=None)
+def test_shifts_and_eval_w_match_reference(s1, v):
+    [s] = s1
+    assert dict(subst_z_derivative(s).terms) == ref_subst_z_derivative(s.terms)
+    flat = subst_z_derivative(s)
+    assert dict(integrate_t(flat).terms) == ref_integrate_t(s.trunc, flat.terms)
+    assert dict(eval_w(s, v).terms) == ref_eval_w(s.terms, v)
+
+
+@given(series_tuple(2))
+@settings(max_examples=100, deadline=None)
+def test_exp_of_sum_is_product_of_exps(ab):
+    a, b = ab
+    assert exp(add(a, b)) == mul(exp(a), exp(b))
+
+
+@given(series_tuple(3))
+@settings(max_examples=100, deadline=None)
+def test_mul_associates(abc):
+    a, b, c = abc
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+@given(series_tuple(1))
+@settings(max_examples=100, deadline=None)
+def test_fraction_round_trip_is_canonical(s1):
+    [s] = s1
+    assert T(s.trunc, dict(s.terms)) == s
+    assert s.den > 0
+    assert len(s.terms) == sum(map(len, s.slices))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("trunc", range(1, 7))
+def test_big_gamma_literal_reading_matches_reference(r, trunc):
+    # the misread exponent (tr/i!)^i is not integral after scaling by i!,
+    # so this is the formula path through den != 1
+    w = max(trunc, -(-3 * (trunc - 1) // 2))
+    pre = {(e + 1, i - 1, 0, 0): Fraction(1, math.factorial(i - 1))
+           for i in range(2, w + 1) for e in range(i - 1)}
+    blocks = {(e + 1, i, 1, 0): Fraction(r ** (i - 1), math.factorial(i) ** i)
+              for i in range(3, w + 1) for e in range(i - 2)}
+    gamma = ref_mul(w, pre, ref_exp(w, blocks))
+    want = {k: c for k, c in ref_integrate_t(w, ref_subst_z_derivative(gamma)).items()
+            if k[1] <= trunc}
+    assert dict(big_gamma(r, trunc, literal_reading=True).terms) == want
+    if w >= 4:  # the first block times the prefactor lands at t^4
+        assert gamma_series(r, w, literal_reading=True).den != 1
+
+
+def test_invariants_hold_under_python_O():
+    code = """
+from wondermodels.series import TruncatedSeries as T, assert_degree_bounds
+from wondermodels.formulas import poincare_from_phi
+assert not __debug__
+for bad in (lambda: assert_degree_bounds(T.monomial(4, 1, et=1, ez=2)),
+            lambda: poincare_from_phi(T.monomial(4, 1, et=3, ez=1), 3),
+            lambda: poincare_from_phi(T.monomial(4, 1, et=3, ew=1), 3)):
+    try:
+        bad()
+    except ArithmeticError:
+        print("raised")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 3
