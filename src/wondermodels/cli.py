@@ -87,19 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.add_argument("--trunc", type=int, default=None,
                    help="series depth for r >= 2, default n+2")
-    _common_flags(p)
+    p.add_argument("--seed-guard", type=int, default=5000,
+                   help="building set size limit for enumeration")
+    _format_flag(p)
 
     f = sub.add_parser("fvector", help="f-vector of one nestohedron")
     f.add_argument("--type", dest="family", choices=("A", "B", "D"), required=True)
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--method", choices=("series", "tubings", "both"),
                    default="both")
-    _common_flags(f)
+    _format_flag(f)
 
     e = sub.add_parser("euler", help="Euler characteristic of one compact real model")
     e.add_argument("--type", dest="family", choices=("A", "B", "D"), required=True)
     e.add_argument("--n", type=int, required=True)
-    _common_flags(e)
+    _format_flag(e)
 
     d = sub.add_parser("series-dump", help="one generating series as canonical JSON")
     d.add_argument("name", choices=sorted(SERIES_REGISTRY))
@@ -109,18 +111,45 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"series depth, at most {DUMP_TRUNC_GUARD}")
 
     s = sub.add_parser("selftest", help="run every acceptance check")
-    s.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    s.add_argument("--format", choices=("json", "text"), default="text")
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--seed-guard", type=int, default=5000,
-                   help="building set size limit for enumeration")
 
 
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, separators=(",", ":"), sort_keys=True))
+
+
+def _compare(values: dict) -> tuple:
+    """The answer of a run by one or two routes, and the verdict (None
+    unless two routes ran)."""
+    first, *second = values.values()
+    if not second:
+        return first, None
+    return first, "match" if first == second[0] else "mismatch"
+
+
+def _emit(fmt: str, doc: dict, text: list[str], csv: list[tuple]) -> int:
+    """Print one answer in the format fmt and return the exit code.
+
+    doc is the json form; its keys with value None are left out, and its
+    "note" ends the text form.  text holds the other lines of the text
+    form, csv the header and the data rows.
+    """
+    doc = {k: v for k, v in doc.items() if v is not None}
+    if fmt == "json":
+        _emit_json(doc)
+    elif fmt == "csv":
+        for row in csv:
+            print(",".join(str(x) for x in row))
+    else:
+        if "note" in doc:
+            text = text + [f"note: {doc['note']}"]
+        print("\n".join(text))
+    return EXIT_MISMATCH if doc.get("verdict") == "mismatch" else EXIT_OK
 
 
 def _poincare_series(g: GroupId, trunc: int) -> QPolynomial:
@@ -147,31 +176,15 @@ def run_poincare(args) -> int:
         values["series"] = _poincare_series(g, trunc)
     if args.method in ("bruteforce", "both"):
         values["bruteforce"] = poincare_bruteforce(g, max_building=args.seed_guard)
-    verdict = None
-    if args.method == "both":
-        verdict = "match" if values["series"] == values["bruteforce"] else "mismatch"
-    poly = values.get("series", values.get("bruteforce"))
-
-    if args.format == "json":
-        doc = {"group": {"r": g.r, "p": g.p, "n": g.n},
-               "method": args.method,
-               "poincare": [list(kv) for kv in poly.as_pairs()]}
-        if verdict:
-            doc["verdict"] = verdict
-        if note:
-            doc["note"] = note
-        _emit_json(doc)
-    elif args.format == "csv":
-        print("degree,coefficient")
-        for k, c in poly.as_pairs():
-            print(f"{k},{c}")
-    else:
-        print(f"{g} [{args.method}]: {poly}")
-        if verdict:
-            print(f"verdict: {verdict}")
-        if note:
-            print(f"note: {note}")
-    return EXIT_OK if verdict != "mismatch" else EXIT_MISMATCH
+    poly, verdict = _compare(values)
+    text = [f"{g} [{args.method}]: {poly}"]
+    if verdict:
+        text.append(f"verdict: {verdict}")
+    return _emit(args.format,
+                 {"group": {"r": g.r, "p": g.p, "n": g.n}, "method": args.method,
+                  "poincare": [list(kv) for kv in poly.as_pairs()],
+                  "verdict": verdict, "note": note},
+                 text, [("degree", "coefficient"), *poly.as_pairs()])
 
 
 def _fvector_series(family: str, n: int) -> list[int]:
@@ -195,68 +208,37 @@ def run_fvector(args) -> int:
         values["series"] = _fvector_series(family, n)
     if args.method in ("tubings", "both"):
         values["tubings"] = _fvector_tubings(family, n)
-    verdict = None
-    if args.method == "both":
-        verdict = "match" if values["series"] == values["tubings"] else "mismatch"
-    fvec = values.get("series", values.get("tubings"))
-
-    if args.format == "json":
-        doc = {"type": family, "n": n, "fvector": fvec, "method": args.method}
-        if verdict:
-            doc["verdict"] = verdict
-        if note:
-            doc["note"] = note
-        _emit_json(doc)
-    elif args.format == "csv":
-        print("codimension,count")
-        for k, c in enumerate(fvec):
-            print(f"{k},{c}")
-    else:
-        print(f"{family} n={n} [{args.method}]: {fvec}")
-        if verdict:
-            print(f"verdict: {verdict}")
-        if note:
-            print(f"note: {note}")
-    return EXIT_OK if verdict != "mismatch" else EXIT_MISMATCH
+    fvec, verdict = _compare(values)
+    text = [f"{family} n={n} [{args.method}]: {fvec}"]
+    if verdict:
+        text.append(f"verdict: {verdict}")
+    return _emit(args.format,
+                 {"type": family, "n": n, "fvector": fvec, "method": args.method,
+                  "verdict": verdict, "note": note},
+                 text, [("codimension", "count"), *enumerate(fvec)])
 
 
 def run_euler(args) -> int:
     family, n = args.family, args.n
     note = None
-    if family == "A":
-        value = euler_from_x(n)
-    else:
-        value = euler_from_bd(family, n)
-    oracle = None
+    values = {"series": euler_from_x(n) if family == "A" else euler_from_bd(family, n)}
     if family == "D" and n == 3:
-        oracle = euler_cw("A", 4)
+        values["cells"] = euler_cw("A", 4)
         note = D3_DEGENERATE_NOTE
     else:
         lo, hi = EULER_CW_RANGE[family]
         if lo <= n <= hi:
-            oracle = euler_cw(family, n)
-    verdict = None if oracle is None else \
-        ("match" if value == oracle else "mismatch")
-
-    if args.format == "json":
-        doc = {"type": family, "n": n, "euler": value}
-        if verdict:
-            doc["verdict"] = verdict
-            doc["oracle"] = oracle
-        if note:
-            doc["note"] = note
-        _emit_json(doc)
-    elif args.format == "csv":
-        print("type,n,euler,verdict")
-        print(f"{family},{n},{value},{verdict or ''}")
-    else:
-        line = f"{family} n={n}: euler characteristic {value}"
-        if verdict:
-            line += f" ({verdict} vs cell count {oracle})"
-        print(line)
-        if note:
-            print(f"note: {note}")
-    return EXIT_OK if verdict != "mismatch" else EXIT_MISMATCH
+            values["cells"] = euler_cw(family, n)
+    value, verdict = _compare(values)
+    oracle = values.get("cells")
+    text = f"{family} n={n}: euler characteristic {value}"
+    if verdict:
+        text += f" ({verdict} vs cell count {oracle})"
+    return _emit(args.format,
+                 {"type": family, "n": n, "euler": value,
+                  "verdict": verdict, "oracle": oracle, "note": note},
+                 [text], [("type", "n", "euler", "verdict"),
+                          (family, n, value, verdict or "")])
 
 
 def run_series_dump(args) -> int:

@@ -24,7 +24,6 @@ from .lattice import (
     GroupId,
     GuardExceeded,
     LatticeElement,
-    NestedSet,
     _universe,
     building_set,
     contains,
@@ -195,14 +194,6 @@ def enumerate_admissible(g: GroupId, weak_only: bool = False,
             yield AdmissibleFunction(g, tuple(zip(elems, choice)))
 
 
-def count_nested_sets(g: GroupId, max_building: int = 5000) -> int:
-    uni = _universe(g)
-    if len(uni.elems) > max_building:
-        raise GuardExceeded(
-            f"building set of {g} has {len(uni.elems)} elements (guard {max_building})")
-    return sum(1 for _ in uni.nested_masks())
-
-
 # ---------------------------------------------------------------------------
 # weighted partition bijection for all-weak supports
 
@@ -310,7 +301,8 @@ def encode_partition(f: AdmissibleFunction) -> WeightedPartition:
 
     ground = n + len(parts) - 1
     covered = sorted(m for p in parts for m in p.members)
-    assert covered == list(range(1, ground + 1)), "parts must partition the ground set"
+    if covered != list(range(1, ground + 1)):
+        raise ArithmeticError(f"parts {covered} do not partition 1..{ground}")
     return WeightedPartition(ground, tuple(parts))
 
 

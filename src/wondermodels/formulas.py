@@ -53,6 +53,8 @@ def _blocks(r: int, trunc: int, literal_reading: bool = False) -> TruncatedSerie
     Its t^i numerator is r^(i-1).  literal_reading swaps (rt)^i/i! for
     (tr/i!)^i, which is not integral in this scaling.
     """
+    if r < 1:
+        raise ValueError(f"the block series needs r >= 1, got r = {r}")
     if literal_reading:
         return T(trunc, {(e + 1, i, 1, 0): Fraction(r ** (i - 1), math.factorial(i) ** i)
                          for i in range(3, trunc + 1) for e in q_analog(i - 2)})

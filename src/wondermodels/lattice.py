@@ -54,6 +54,17 @@ class GroupId:
             return Variant.RR
         return Variant.FULL_MONOMIAL
 
+    @property
+    def min_zero_set(self) -> int:
+        """Size of the smallest zero set in the building set (n + 1 for
+        type A, which has none)."""
+        v = self.variant
+        if v is Variant.TYPE_A:
+            return self.n + 1
+        if v is Variant.FULL_MONOMIAL:
+            return 1
+        return 3 if self.r == 2 else 2
+
     def __str__(self):
         return f"G({self.r},{self.p},{self.n})"
 
@@ -217,25 +228,17 @@ def in_building(e: LatticeElement, g: GroupId) -> bool:
         return False
     if e.blocks:
         return len(e.blocks[0][0]) >= 2
-    size = len(e.zeros)
-    v = g.variant
-    if v is Variant.TYPE_A:
-        return False
-    if v is Variant.FULL_MONOMIAL:
-        return size >= 1
-    return size >= (3 if g.r == 2 else 2)
+    return len(e.zeros) >= g.min_zero_set
 
 
 @functools.lru_cache(maxsize=None)
 def building_set(g: GroupId) -> tuple[BuildingElement, ...]:
     """All irreducible subspaces for g, sorted (strongs first, then by support)."""
-    n, r, v = g.n, g.r, g.variant
+    n, r = g.n, g.r
     out: list[BuildingElement] = []
-    if v is not Variant.TYPE_A:
-        min_strong = 1 if v is Variant.FULL_MONOMIAL else (3 if r == 2 else 2)
-        for size in range(min_strong, n + 1):
-            for coords in itertools.combinations(range(1, n + 1), size):
-                out.append(BuildingElement.strong(coords, r))
+    for size in range(g.min_zero_set, n + 1):
+        for coords in itertools.combinations(range(1, n + 1), size):
+            out.append(BuildingElement.strong(coords, r))
     for size in range(2, n + 1):
         for coords in itertools.combinations(range(1, n + 1), size):
             for tail in itertools.product(range(r), repeat=size - 1):
@@ -263,16 +266,9 @@ def comparable(a: BuildingElement, b: BuildingElement) -> bool:
 
 def element_in_building(e: BuildingElement, g: GroupId) -> bool:
     """Structural membership test, independent of the building set's size."""
-    if e.r != g.r or not set(e.support) <= set(range(1, g.n + 1)):
-        return False
-    if not e.is_strong:
-        return len(e.support) >= 2 and all(0 <= a < g.r for a in e.weights)
-    v = g.variant
-    if v is Variant.TYPE_A:
-        return False
-    if v is Variant.FULL_MONOMIAL:
-        return True
-    return len(e.support) >= (3 if g.r == 2 else 2)
+    return (e.r == g.r and set(e.support) <= set(range(1, g.n + 1))
+            and all(0 <= a < g.r for a in e.weights)
+            and in_building(e.as_lattice(), g))
 
 
 def _check_membership(s, g: GroupId) -> tuple[BuildingElement, ...]:
@@ -281,56 +277,6 @@ def _check_membership(s, g: GroupId) -> tuple[BuildingElement, ...]:
         if not element_in_building(e, g):
             raise ValueError(f"{e} is not in the building set of {g}")
     return elems
-
-
-def _pair_nested(a: BuildingElement, b: BuildingElement, g: GroupId) -> bool:
-    if comparable(a, b):
-        return True
-    j = join(a.as_lattice(), b.as_lattice())
-    if in_building(j, g):
-        return False
-    # incomparable members of a nested set span a direct sum
-    return j.dimension() == a.dimension() + b.dimension()
-
-
-def _antiparallel_supports(elems) -> list[tuple[int, ...]]:
-    # supports carried by more than one weak element (same block, different
-    # twist); only 2-element supports can survive the pairwise checks
-    by_support: dict[tuple[int, ...], int] = {}
-    for e in elems:
-        if not e.is_strong:
-            by_support[e.support] = by_support.get(e.support, 0) + 1
-    return [s for s, k in by_support.items() if k > 1]
-
-
-def is_nested(s, g: GroupId) -> bool:
-    """Nestedness of a set of building elements, by local rules.
-
-    Pairs must be comparable or span a direct sum whose join leaves the
-    building set; strong elements must form a chain.  For G(2,2,n) one
-    global rule is needed on top: at most one antiparallel block pair, and
-    every strong element present must contain its support (any antichain
-    through two antiparallel pairs, or one pair plus a disjoint zero set,
-    joins into a single zero set of size >= 3, which is back in the
-    building set even though every pair looks fine).
-    """
-    elems = _check_membership(s, g)
-    strongs = sorted((e for e in elems if e.is_strong), key=lambda e: len(e.support))
-    for small, big in zip(strongs, strongs[1:]):
-        if not contains(big, small):
-            return False
-    for a, b in itertools.combinations(elems, 2):
-        if not _pair_nested(a, b, g):
-            return False
-    if g.variant is Variant.RR and g.r == 2:
-        anti = _antiparallel_supports(elems)
-        if len(anti) > 1:
-            return False
-        if anti:
-            need = set(anti[0])
-            if any(not need <= set(e.support) for e in strongs):
-                return False
-    return True
 
 
 def is_nested_def(s, g: GroupId) -> bool:
@@ -355,33 +301,37 @@ def is_nested_def(s, g: GroupId) -> bool:
     return extend(0, [], LatticeElement.bottom(g.r))
 
 
-@dataclass(frozen=True)
-class NestedSet:
-    group: GroupId
-    elements: tuple[BuildingElement, ...]
-
-    def __len__(self):
-        return len(self.elements)
-
-
 class _NestedUniverse:
-    """Precomputed pairwise data driving the backtracking enumerations."""
+    """The nested-set rule over a fixed sorted list of building elements.
+
+    Pairs must be comparable or span a direct sum whose join leaves the
+    building set; for G(2,2,n) one global rule comes on top (see
+    _antiparallel_rule).  Pairwise bitmasks, built once, drive both the
+    backtracking enumerations and is_nested.
+    """
 
     def __init__(self, g: GroupId, elems: tuple[BuildingElement, ...]):
         self.group = g
         self.elems = elems
         nb = len(elems)
         self.dims = [e.dimension() for e in elems]
-        self.ok = [0] * nb          # bit j: pair {i,j} passes _pair_nested
+        self.ok = [0] * nb          # bit j: the pair {i,j} is nested
         self.below = [0] * nb       # bit j: elems[j] strictly inside elems[i]
         for i, j in itertools.combinations(range(nb), 2):
-            if _pair_nested(elems[i], elems[j], g):
-                self.ok[i] |= 1 << j
-                self.ok[j] |= 1 << i
-            if contains(elems[i], elems[j]):
+            a, b = elems[i], elems[j]
+            if contains(a, b):
                 self.below[i] |= 1 << j
-            elif contains(elems[j], elems[i]):
+            elif contains(b, a):
                 self.below[j] |= 1 << i
+            else:
+                # incomparable members of a nested set span a direct sum
+                # that is not itself in the building set
+                joined = join(a.as_lattice(), b.as_lattice())
+                if in_building(joined, g) or \
+                        joined.dimension() != self.dims[i] + self.dims[j]:
+                    continue
+            self.ok[i] |= 1 << j
+            self.ok[j] |= 1 << i
         # data for the G(2,2,n) global rule
         self.rr2 = g.variant is Variant.RR and g.r == 2
         self.partner = [-1] * nb
@@ -406,6 +356,29 @@ class _NestedUniverse:
                         if f.is_strong and sup <= set(f.support):
                             self.covers_anti[i] |= 1 << jdx
 
+    def _antiparallel_rule(self, i: int, mask: int, anti: int):
+        """The G(2,2,n) global rule for adding elems[i] to the nested set mask.
+
+        Two blocks on one support with different twists are antiparallel.
+        A nested set holds at most one antiparallel pair, and each of its
+        strong elements contains that pair's support: any antichain through
+        two antiparallel pairs, or one pair plus a disjoint zero set, joins
+        into a single zero set of size >= 3, which is back in the building
+        set even though every pair looks fine.  anti is the bitmask of the
+        pair inside mask (0 if none).  Returns the pair's bitmask after the
+        addition, or None when the addition breaks the rule.
+        """
+        if self.partner[i] >= 0 and mask >> self.partner[i] & 1:
+            # this addition completes an antiparallel pair
+            if anti or mask & self.strong_mask & ~self.covers_anti[i]:
+                return None
+            return 1 << i | 1 << self.partner[i]
+        if anti and self.elems[i].is_strong:
+            low = (anti & -anti).bit_length() - 1
+            if not self.covers_anti[low] >> i & 1:
+                return None
+        return anti
+
     def nested_masks(self, veto=None):
         """All nested subsets as bitmasks, in lexicographic index order.
 
@@ -423,16 +396,9 @@ class _NestedUniverse:
                     continue
                 new_anti = anti
                 if self.rr2:
-                    bit = 1 << i
-                    if self.partner[i] >= 0 and mask >> self.partner[i] & 1:
-                        # this addition completes an antiparallel pair
-                        if anti or (mask & self.strong_mask & ~self.covers_anti[i]):
-                            continue
-                        new_anti = bit | 1 << self.partner[i]
-                    if self.elems[i].is_strong and anti:
-                        low = (anti & -anti).bit_length() - 1
-                        if not self.covers_anti[low] >> i & 1:
-                            continue
+                    new_anti = self._antiparallel_rule(i, mask, anti)
+                    if new_anti is None:
+                        continue
                 newmask = mask | 1 << i
                 if veto is not None and veto(i, newmask):
                     continue
@@ -447,17 +413,21 @@ def _universe(g: GroupId, elems=None) -> _NestedUniverse:
     return _NestedUniverse(g, elems)
 
 
-def enumerate_nested_sets(g: GroupId, max_building: int = 5000):
-    """Yield every nested subset of the building set exactly once, the empty
-    set first, in lexicographic order over the sorted building set."""
-    elems = building_set(g)
-    if len(elems) > max_building:
-        raise GuardExceeded(
-            f"building set of {g} has {len(elems)} elements (guard {max_building})")
-    uni = _universe(g, elems)
-    for mask in uni.nested_masks():
-        members = tuple(elems[i] for i in range(len(elems)) if mask >> i & 1)
-        yield NestedSet(g, members)
+def is_nested(s, g: GroupId) -> bool:
+    """Nestedness of a set of building elements, by the universe's rule:
+    the set is built up one element at a time in sorted order, the path
+    on which nested_masks reaches it."""
+    uni = _universe(g, _check_membership(s, g))
+    mask = anti = 0
+    for i in range(len(uni.elems)):
+        if mask & ~uni.ok[i]:
+            return False
+        if uni.rr2:
+            anti = uni._antiparallel_rule(i, mask, anti)
+            if anti is None:
+                return False
+        mask |= 1 << i
+    return True
 
 
 def d_value(h, b: BuildingElement, g: GroupId) -> int:

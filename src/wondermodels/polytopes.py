@@ -121,13 +121,16 @@ def fvector_tubings(graph: Graph) -> list[int]:
 
     dfs(0, 0, 0)
     top = max(counts)
-    assert top == len(graph.nodes) - 1 or len(graph.nodes) == 1
     fvec = [counts.get(k, 0) for k in range(top + 1)]
+    if top != len(graph.nodes) - 1 and len(graph.nodes) != 1:
+        raise ArithmeticError(f"tubings reach codimension {top} on "
+                              f"{len(graph.nodes)} nodes: {fvec}")
     if len(graph.nodes) >= 2:
         # boundary complex of a simple polytope of dimension top: its Euler
         # characteristic is that of a (top-1)-sphere
         chi = sum((-1) ** d * fvec[top - d] for d in range(top))
-        assert chi == 1 + (-1) ** (top - 1), f"Euler relation broken: {fvec}"
+        if chi != 1 + (-1) ** (top - 1):
+            raise ArithmeticError(f"Euler relation broken: {fvec}")
     return fvec
 
 

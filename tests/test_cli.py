@@ -206,6 +206,13 @@ def test_series_dump_needs_r_for_phi(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("name", ["K", "gamma", "Gamma", "calK"])
+def test_series_dump_rejects_r_below_1(capsys, name):
+    for r in ("0", "-2"):
+        code, out = run_cli(capsys, "series-dump", name, "--r", r, "--trunc", "4")
+        assert code == 4 and out == "", (name, r)
+
+
 def test_series_dump_trunc_guard(capsys):
     code, _ = run_cli(capsys, "series-dump", "psi", "--trunc", "13")
     assert code == 3
@@ -230,6 +237,17 @@ def test_byte_stability(capsys):
     _, first = run_cli(capsys, "poincare", "--r", "2", "--p", "1", "--n", "4")
     _, second = run_cli(capsys, "poincare", "--r", "2", "--p", "1", "--n", "4")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["fvector", "--type", "B", "--n", "3", "--seed-guard", "5"],
+    ["euler", "--type", "B", "--n", "3", "--seed-guard", "5"],
+    ["selftest", "--format", "csv"],
+])
+def test_options_that_do_not_apply_exit_4(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 4
 
 
 def test_selftest_json(capsys):

@@ -1,5 +1,8 @@
 """Tests for admissible-function enumeration and the partition bijection."""
 
+import subprocess
+import sys
+
 import pytest
 
 from wondermodels.cohomology import (
@@ -7,13 +10,12 @@ from wondermodels.cohomology import (
     MalformedPartition,
     Part,
     WeightedPartition,
-    count_nested_sets,
     decode_partition,
     encode_partition,
     enumerate_admissible,
     poincare_bruteforce,
 )
-from wondermodels.lattice import BuildingElement, GroupId, GuardExceeded
+from wondermodels.lattice import BuildingElement, GroupId, GuardExceeded, _universe
 
 
 def weak(coords, weights, r):
@@ -114,6 +116,8 @@ def test_poincare_bruteforce_invariants():
 def test_poincare_bruteforce_guard():
     with pytest.raises(GuardExceeded):
         poincare_bruteforce(GroupId(2, 1, 8), max_building=100)
+    with pytest.raises(GuardExceeded):  # |B| = 96
+        poincare_bruteforce(GroupId(3, 1, 4), max_building=50)
 
 
 def test_enumeration_matches_poincare_count():
@@ -161,7 +165,7 @@ def test_weak_only_is_a_restriction():
     (3, 3, 3, 116),
 ])
 def test_count_nested_sets(r, p, n, count):
-    assert count_nested_sets(GroupId(r, p, n)) == count
+    assert sum(1 for _ in _universe(GroupId(r, p, n)).nested_masks()) == count
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +338,24 @@ def test_malformed_non_canonical_zero_function():
     # exponent-0 part
     with pytest.raises(MalformedPartition, match="canonical"):
         dec((Part((1, 2, 3), (0, 0, 0), 0),), 3, GroupId(1, 1, 3))
+
+
+def test_encode_cover_check_holds_under_python_O():
+    # a forged function listing one block twice yields overlapping parts
+    code = """
+from wondermodels.cohomology import AdmissibleFunction, encode_partition
+from wondermodels.lattice import BuildingElement, GroupId
+assert not __debug__
+a = BuildingElement.weak((1, 2, 3), (0, 0, 0), 1)
+f = object.__new__(AdmissibleFunction)
+object.__setattr__(f, "group", GroupId(1, 1, 3))
+object.__setattr__(f, "assignment", ((a, 1), (a, 1)))
+try:
+    encode_partition(f)
+except ArithmeticError:
+    print("raised")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"]

@@ -1,6 +1,8 @@
 """Tests for the tubing / plane-forest oracle."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -161,3 +163,26 @@ def test_euler_cw_range():
             euler_cw(fam, hi + 1)
     with pytest.raises(ValueError):
         euler_cw("E", 6)
+
+
+def test_fvector_invariants_hold_under_python_O():
+    # drop the tube {2} of the 3-node path: the f-vector (1, 4, 3) breaks
+    # the Euler relation; forbid every pair: the top codimension falls short
+    code = """
+import wondermodels.polytopes as P
+assert not __debug__
+g = P.dynkin_graph("B", 3)
+tubes = P.enumerate_tubes(g)
+P.enumerate_tubes = lambda graph: [t for t in tubes if t != frozenset({2})]
+for patch in (None, lambda graph, a, b: False):
+    if patch:
+        P._compatible = patch
+    try:
+        P.fvector_tubings(g)
+    except ArithmeticError as err:
+        print(str(err).split()[0])
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Euler", "tubings"]
