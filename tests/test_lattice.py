@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+from wondermodels.cohomology import poincare_bruteforce
 from wondermodels.lattice import (
     BuildingElement,
     GroupId,
+    GuardExceeded,
     LatticeElement,
     Variant,
     _universe,
@@ -206,6 +208,12 @@ def test_enumerate_nested_sets_order_and_content():
     assert len(seen) == len(out)  # each exactly once
     for ns in out:
         assert is_nested(set(ns), g)
+
+
+def test_enumerate_nested_sets_guard():
+    # the building-set guard of the nested-set walk, reached through its caller
+    with pytest.raises(GuardExceeded):  # |B| = 96
+        poincare_bruteforce(GroupId(3, 1, 4), max_building=50)
 
 
 def test_d_value():
