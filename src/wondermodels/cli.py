@@ -7,8 +7,9 @@ Verbs:
   series-dump  one named generating series as canonical JSON
   selftest     run every acceptance check, one line each
 
-Exit codes: 0 success/match, 2 mismatch between methods, 3 guard violation,
-4 bad arguments.  All output is deterministic: terms, rows and keys are
+Exit codes: 0 success/match, 1 stdout closed before the output was written
+(say by `| head`), 2 mismatch between methods, 3 guard violation, 4 bad
+arguments.  All output is deterministic: terms, rows and keys are
 sorted, so identical invocations produce identical bytes.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cohomology import poincare_bruteforce
@@ -44,13 +46,15 @@ from .polytopes import EULER_CW_RANGE, dynkin_graph, euler_cw, fvector_tubings
 from .series import QPolynomial, dump_json
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_MISMATCH = 2
 EXIT_GUARD = 3
 EXIT_BADARGS = 4
 
 DUMP_TRUNC_GUARD = 12
 
-# r-independent series take and ignore r so the dispatch below stays uniform
+# r-independent series take and ignore r so the dispatch below stays
+# uniform; run_series_dump refuses r < 1 for every name
 SERIES_REGISTRY = {
     "psi": lambda r, trunc: psi_series(trunc),
     "K": k_series,
@@ -242,6 +246,8 @@ def run_euler(args) -> int:
 
 
 def run_series_dump(args) -> int:
+    if args.r < 1:
+        raise ValueError(f"--r must be at least 1, got {args.r}")
     if not 1 <= args.trunc <= DUMP_TRUNC_GUARD:
         raise GuardExceeded(
             f"--trunc must be between 1 and {DUMP_TRUNC_GUARD}, got {args.trunc}")
@@ -272,7 +278,14 @@ def main(argv=None) -> int:
                "euler": run_euler, "series-dump": run_series_dump,
                "selftest": run_selftest}[args.verb]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; stdout now points at devnull so that the
+        # interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except GuardExceeded as err:
         print(f"guard violation: {err}", file=sys.stderr)
         return EXIT_GUARD

@@ -23,13 +23,11 @@ from .lattice import (
     BuildingElement,
     GroupId,
     GuardExceeded,
-    LatticeElement,
     _universe,
     building_set,
     contains,
     d_value,
     is_nested,
-    join,
 )
 from .series import QPolynomial
 
@@ -83,59 +81,45 @@ class AdmissibleFunction:
                  "exponent": e} for a, e in self.assignment]
 
 
-def _admissible_universe(g: GroupId, weak_only: bool, max_building: int):
-    """Backtracking context over elements that can carry a positive exponent.
+def _d_value(uni, i: int, mask: int) -> int:
+    """d-value of member i of the nested set mask over the universe uni.
 
-    Rank-1 elements always have d = 1, so no admissible support contains
-    them; dropping them up front shrinks the search space a lot.
+    The maximal members of mask strictly inside elems[i] span a direct sum
+    (De Concini-Procesi), so the join of everything inside elems[i] has
+    their summed dimension; lattice.d_value computes the same number by
+    joining, and the tests hold the two against each other.
+    """
+    inside = mask & uni.below[i]
+    covered = 0
+    m = inside
+    while m:
+        low = m & -m
+        covered |= uni.below[low.bit_length() - 1]
+        m ^= low
+    d = uni.dims[i]
+    m = inside & ~covered
+    while m:
+        low = m & -m
+        d -= uni.dims[low.bit_length() - 1]
+        m ^= low
+    return d
+
+
+def _admissible_supports(g: GroupId, weak_only: bool = False,
+                         max_building: int = 5000):
+    """Yield (universe, mask, d-list) for every nested set all of whose
+    members admit a positive exponent (d >= 2 throughout); the d-list
+    pairs each member's index with its d-value.
+
+    Rank-1 elements always have d = 1, so no such set contains them;
+    the universe leaves them out up front, which shrinks the search a lot.
     """
     full = building_set(g)
     if len(full) > max_building:
         raise GuardExceeded(
             f"building set of {g} has {len(full)} elements (guard {max_building})")
-    elems = tuple(e for e in full
-                  if e.dimension() >= 2 and not (weak_only and e.is_strong))
-    return _universe(g, elems)
-
-
-class _DCalculator:
-    """Memoized d-values over bitmask-coded subsets of a fixed element list."""
-
-    def __init__(self, uni):
-        self.uni = uni
-        self.lat = [e.as_lattice() for e in uni.elems]
-        self.joins: dict[int, LatticeElement] = {0: LatticeElement.bottom(uni.group.r)}
-
-    def join_of(self, mask: int) -> LatticeElement:
-        found = self.joins.get(mask)
-        if found is None:
-            low = mask & -mask
-            found = join(self.join_of(mask ^ low), self.lat[low.bit_length() - 1])
-            self.joins[mask] = found
-        return found
-
-    def dim_of(self, mask: int) -> int:
-        dim = self.join_of(mask).dimension()
-        if __debug__:
-            # inside a nested set the maximal elements of any lower piece
-            # span a direct sum; cheap independent cross-check of join()
-            idxs = [i for i in range(mask.bit_length()) if mask >> i & 1]
-            maximal = [i for i in idxs
-                       if not any(self.uni.below[j] >> i & 1 for j in idxs)]
-            assert dim == sum(self.uni.dims[i] for i in maximal), \
-                f"join dimension {dim} vs additive {maximal}"
-        return dim
-
-    def d_of(self, i: int, mask: int) -> int:
-        return self.uni.dims[i] - self.dim_of(mask & self.uni.below[i])
-
-
-def _admissible_supports(g: GroupId, weak_only: bool = False,
-                         max_building: int = 5000):
-    """Yield (universe, dcalc, mask, d-list) for every nested set all of
-    whose members admit a positive exponent (d >= 2 throughout)."""
-    uni = _admissible_universe(g, weak_only, max_building)
-    dc = _DCalculator(uni)
+    uni = _universe(g, tuple(e for e in full
+                             if e.dimension() >= 2 and not (weak_only and e.is_strong)))
 
     def veto(i: int, newmask: int) -> bool:
         # d-values only shrink as the set grows, so a member stuck at
@@ -143,7 +127,7 @@ def _admissible_supports(g: GroupId, weak_only: bool = False,
         m = newmask
         while m:
             low = m & -m
-            if dc.d_of(low.bit_length() - 1, newmask) <= 1:
+            if _d_value(uni, low.bit_length() - 1, newmask) <= 1:
                 return True
             m ^= low
         return False
@@ -154,7 +138,7 @@ def _admissible_supports(g: GroupId, weak_only: bool = False,
         while m:
             low = m & -m
             i = low.bit_length() - 1
-            ds.append((i, dc.d_of(i, mask)))
+            ds.append((i, _d_value(uni, i, mask)))
             m ^= low
         yield uni, mask, ds
 

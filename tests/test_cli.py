@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, output schemas, byte stability."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -206,7 +207,7 @@ def test_series_dump_needs_r_for_phi(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("name", ["K", "gamma", "Gamma", "calK"])
+@pytest.mark.parametrize("name", sorted(cli.SERIES_REGISTRY))
 def test_series_dump_rejects_r_below_1(capsys, name):
     for r in ("0", "-2"):
         code, out = run_cli(capsys, "series-dump", name, "--r", r, "--trunc", "4")
@@ -266,3 +267,20 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["poincare"] == [[0, 1], [1, 5], [2, 1]]
+
+
+def test_closed_stdout_exits_quietly():
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails with a broken pipe
+    for argv in (["series-dump", "psi", "--trunc", "3"],
+                 ["series-dump", "phiFull", "--r", "3", "--trunc", "12"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "wondermodels", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == "", proc.stderr  # no traceback, no ignored error
+        assert proc.returncode == cli.EXIT_CLOSED_STDOUT == 1, argv

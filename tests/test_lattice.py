@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from wondermodels.cohomology import poincare_bruteforce
+from wondermodels.cohomology import _d_value, poincare_bruteforce
 from wondermodels.lattice import (
     BuildingElement,
     GroupId,
@@ -251,3 +251,21 @@ def test_nested_antichain_joins_are_dimension_additive():
                 if not comparable(a, b):
                     j = join(a.as_lattice(), b.as_lattice())
                     assert j.dimension() == a.dimension() + b.dimension()
+
+
+D_VALUE_GROUPS = sorted({(r, p, n) for r in (1, 2, 3) for p in (1, r)
+                         for n in (2, 3, 4)} | {(4, 2, 3), (4, 4, 3), (2, 2, 5)})
+
+
+@pytest.mark.parametrize("rpn", D_VALUE_GROUPS, ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_d_values_from_maximal_members_match_the_join(rpn):
+    # the enumeration route sums the dimensions of the maximal members
+    # inside each element; d_value joins all of them in the lattice
+    g = GroupId(*rpn)
+    uni = _universe(g)
+    for mask in uni.nested_masks():
+        members = [i for i in range(len(uni.elems)) if mask >> i & 1]
+        for i in members:
+            inside = [uni.elems[j] for j in members if uni.below[i] >> j & 1]
+            assert _d_value(uni, i, mask) == d_value(inside, uni.elems[i], g), \
+                (rpn, [uni.elems[j] for j in members], uni.elems[i])
