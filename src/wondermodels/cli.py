@@ -157,11 +157,20 @@ def _emit(fmt: str, doc: dict, text: list[str], csv: list[tuple]) -> int:
 
 
 def _poincare_series(g: GroupId, trunc: int) -> QPolynomial:
+    """The series answer, checked against Poincare duality: palindromic
+    of degree the complex dimension of the model."""
     if g.r == 1:
-        return poincare_from_psi(g.n)
-    if g.p == g.r:
-        return poincare_from_phi(phi_rr(g.r, trunc), g.n)
-    return poincare_from_phi(phi_full_monomial(g.r, trunc), g.n)
+        poly = poincare_from_psi(g.n)
+    elif g.p == g.r:
+        poly = poincare_from_phi(phi_rr(g.r, trunc), g.n)
+    else:
+        poly = poincare_from_phi(phi_full_monomial(g.r, trunc), g.n)
+    # G(2,2,2) is the one reducible group (S_2 x S_2): its model is a point
+    dim = 0 if (g.r, g.p, g.n) == (2, 2, 2) else g.n - 2 if g.r == 1 else g.n - 1
+    if poly.degree() != dim or not poly.is_palindromic():
+        raise ArithmeticError(f"series Poincare polynomial {poly} of {g} is not "
+                              f"palindromic of degree {dim}")
+    return poly
 
 
 def run_poincare(args) -> int:

@@ -7,7 +7,11 @@ tubes (connected, nonempty, proper node subsets) that are pairwise nested
 or disjoint and non-adjacent.  A tubing of k tubes is a face of
 codimension k; the empty tubing is the polytope itself.
 
-These enumerations are independent of the generating series in
+Tubings are counted, not visited: they are the cliques of the tube
+compatibility graph, counted by size with a memo keyed on the candidate
+set.  Plane forests are enumerated as set partitions whose parts all have
+at least two items, so no partition with a singleton part is ever built.
+Neither count uses a generating series: both are independent of
 wondermodels.formulas and serve as its oracle.
 """
 
@@ -102,7 +106,15 @@ def _compatible(graph: Graph, a: frozenset, b: frozenset) -> bool:
 
 def fvector_tubings(graph: Graph) -> list[int]:
     """Face counts by codimension: entry k is the number of tubings with
-    exactly k tubes; entry 0 is always 1 (the whole polytope)."""
+    exactly k tubes; entry 0 is always 1 (the whole polytope).
+
+    A tubing is a clique of the graph on tubes whose edges join compatible
+    tubes.  count(cand) is the f-vector of the tubings drawn from the tube
+    bitmask cand: the empty tubing, plus, for each tube i of cand, the
+    tubings whose lowest tube is i, that is i added to a tubing drawn from
+    the tubes after i in cand that are compatible with i.  Many branches
+    share a candidate set, so count is memoised on it.
+    """
     tubes = enumerate_tubes(graph)
     nt = len(tubes)
     ok = [0] * nt
@@ -110,18 +122,26 @@ def fvector_tubings(graph: Graph) -> list[int]:
         if _compatible(graph, tubes[i], tubes[j]):
             ok[i] |= 1 << j
             ok[j] |= 1 << i
-    counts: dict[int, int] = {0: 1}
+    memo: dict[int, list[int]] = {}
 
-    def dfs(start: int, mask: int, size: int):
-        for i in range(start, nt):
-            if mask & ~ok[i]:
-                continue
-            counts[size + 1] = counts.get(size + 1, 0) + 1
-            dfs(i + 1, mask | 1 << i, size + 1)
+    def count(cand: int) -> list[int]:
+        got = memo.get(cand)
+        if got is not None:
+            return got
+        got = [1]
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sub = count(rest & ok[low.bit_length() - 1])
+            got.extend([0] * (len(sub) + 1 - len(got)))
+            for k, c in enumerate(sub, 1):
+                got[k] += c
+        memo[cand] = got
+        return got
 
-    dfs(0, 0, 0)
-    top = max(counts)
-    fvec = [counts.get(k, 0) for k in range(top + 1)]
+    fvec = count((1 << nt) - 1)
+    top = len(fvec) - 1
     if top != len(graph.nodes) - 1 and len(graph.nodes) != 1:
         raise ArithmeticError(f"tubings reach codimension {top} on "
                               f"{len(graph.nodes)} nodes: {fvec}")
@@ -140,35 +160,36 @@ def count_plane_trees(n: int, s: int) -> int:
     size >= 2 and ordering each part internally.
 
     Agrees with (m!/s!) C(m-s-1, s-1) for m = n+s-1 and with
-    n! * kirkman_cayley(n, s); kept enumerative to stay an independent check.
+    n! * kirkman_cayley(n, s); kept enumerative to stay an independent
+    check.  Partitions with a singleton part are never built.
     """
     if n < 2 or not 1 <= s <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= s <= n-1, got ({n},{s})")
     m = n + s - 1
     total = 0
     for parts in _partitions_into(list(range(1, m + 1)), s):
-        if all(len(p) >= 2 for p in parts):
-            prod = 1
-            for p in parts:
-                prod *= math.factorial(len(p))
-            total += prod
+        prod = 1
+        for p in parts:
+            prod *= math.factorial(len(p))
+        total += prod
     return total
 
 
 def _partitions_into(items: list[int], k: int):
-    """Set partitions of items into exactly k nonempty parts."""
+    """Set partitions of items into exactly k parts, each of size >= 2."""
     if k == 1:
-        yield [items]
-        return
-    if len(items) < k:
+        if len(items) >= 2:
+            yield [items]
         return
     first, rest = items[0], items[1:]
-    # first goes alone into a new part, or joins any part of a smaller split
-    for sub in _partitions_into(rest, k - 1):
-        yield [[first]] + sub
-    for sub in _partitions_into(rest, k):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
+    # the part of first takes a nonempty subset of the rest and leaves at
+    # least two items for each of the other k - 1 parts
+    for size in range(1, len(rest) - 2 * (k - 1) + 1):
+        for mates in itertools.combinations(rest, size):
+            taken = set(mates)
+            left = [x for x in rest if x not in taken]
+            for sub in _partitions_into(left, k - 1):
+                yield [[first, *mates], *sub]
 
 
 EULER_CW_RANGE = {"A": (2, 7), "B": (1, 5), "D": (4, 5)}

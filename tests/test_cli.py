@@ -152,6 +152,34 @@ def test_internal_inconsistency_exits_2(capsys, monkeypatch):
     assert code == 2
 
 
+def test_series_poincare_duality_holds_under_python_O():
+    # a series answer that is not palindromic, or palindromic of the wrong
+    # degree, is an inconsistency (exit 2) even when asserts are stripped
+    code = """
+import sys
+import wondermodels.cli as cli
+from wondermodels.series import QPolynomial
+assert not __debug__
+for route, argv in (("poincare_from_psi", ["--n", "3"]),
+                    ("poincare_from_phi", ["--r", "2", "--n", "3"]),
+                    ("poincare_from_phi", ["--r", "2", "--p", "2", "--n", "3"])):
+    for poly in (QPolynomial({0: 1, 1: 2}), QPolynomial({0: 1, 3: 1})):
+        setattr(cli, route, lambda *args, poly=poly: poly)
+        print(cli.main(["poincare", "--method", "series", *argv]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"] * 6
+    assert proc.stderr.count("is not palindromic of degree") == 6
+
+
+def test_series_poincare_of_reducible_g222_is_a_point(capsys):
+    code, out = run_cli(capsys, "poincare", "--r", "2", "--p", "2", "--n", "2")
+    assert code == 0
+    assert json.loads(out)["poincare"] == [[0, 1]]
+
+
 def test_euler_a3(capsys):
     code, out = run_cli(capsys, "euler", "--type", "A", "--n", "3")
     assert code == 0

@@ -1,15 +1,22 @@
 """Tests for the tubing / plane-forest oracle."""
 
+import itertools
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wondermodels.formulas import fvector_from_fcy, fvector_typeA
 from wondermodels.lattice import GuardExceeded
 from wondermodels.polytopes import (
     EULER_CW_RANGE,
+    TUBE_NODE_GUARD,
     Graph,
+    _compatible,
+    _partitions_into,
     count_plane_trees,
     dynkin_graph,
     enumerate_tubes,
@@ -20,6 +27,62 @@ from wondermodels.polytopes import (
 
 def path(m):
     return Graph.from_edges(range(1, m + 1), [(i, i + 1) for i in range(1, m)])
+
+
+def fvector_by_walk(graph):
+    """Reference f-vector: visit every tubing once, one call per face,
+    with no memo."""
+    tubes = enumerate_tubes(graph)
+    nt = len(tubes)
+    ok = [0] * nt
+    for i, j in itertools.combinations(range(nt), 2):
+        if _compatible(graph, tubes[i], tubes[j]):
+            ok[i] |= 1 << j
+            ok[j] |= 1 << i
+    counts = {0: 1}
+
+    def dfs(start, mask, size):
+        for i in range(start, nt):
+            if mask & ~ok[i]:
+                continue
+            counts[size + 1] = counts.get(size + 1, 0) + 1
+            dfs(i + 1, mask | 1 << i, size + 1)
+
+    dfs(0, 0, 0)
+    return [counts.get(k, 0) for k in range(max(counts) + 1)]
+
+
+def all_partitions_into(items, k):
+    """Reference: every set partition of items into k nonempty parts,
+    singleton parts included."""
+    if k == 1:
+        yield [items]
+        return
+    if len(items) < k:
+        return
+    first, rest = items[0], items[1:]
+    for sub in all_partitions_into(rest, k - 1):
+        yield [[first]] + sub
+    for sub in all_partitions_into(rest, k):
+        for i in range(len(sub)):
+            yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
+
+
+def canonical(partition):
+    return frozenset(frozenset(p) for p in partition)
+
+
+@st.composite
+def connected_graphs(draw):
+    m = draw(st.integers(1, 7))
+    label = [0, *draw(st.permutations(range(1, m + 1)))]
+    # a random spanning tree keeps the graph connected; extra edges on top
+    edges = {(draw(st.integers(1, i - 1)), i) for i in range(2, m + 1)}
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs)))
+    return Graph.from_edges(range(1, m + 1),
+                            [(label[a], label[b]) for a, b in edges])
 
 
 def test_graph_rejects_bad_edges():
@@ -98,6 +161,30 @@ def test_fvector_typeB_matches_path():
         assert fvector_tubings(dynkin_graph("B", n)) == fvector_tubings(path(n))
 
 
+@pytest.mark.parametrize("family,n", [
+    *(("A", n) for n in range(3, 11)),
+    *(("B", n) for n in range(1, 10)),
+    *(("D", n) for n in range(4, 10)),
+])
+def test_fvector_matches_per_face_walk_on_dynkin_graphs(family, n):
+    g = dynkin_graph(family, n)
+    assert fvector_tubings(g) == fvector_by_walk(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_fvector_matches_per_face_walk_on_connected_graphs(g):
+    assert fvector_tubings(g) == fvector_by_walk(g)
+
+
+@pytest.mark.parametrize("family,n", [("D", 12), ("B", 12), ("A", 13)])
+def test_largest_admitted_graphs_match_the_series(family, n):
+    g = dynkin_graph(family, n)
+    assert len(g.nodes) == TUBE_NODE_GUARD
+    series = fvector_typeA(n) if family == "A" else fvector_from_fcy(family, n)
+    assert fvector_tubings(g) == series
+
+
 def test_disjoint_adjacent_tubes_incompatible():
     # {1} and {2} on a path are disjoint but adjacent: no tubing holds both
     g = path(2)
@@ -117,9 +204,20 @@ def test_count_plane_trees_small():
     assert count_plane_trees(4, 3) == 15 * 8
 
 
+def test_partitions_without_singletons_match_filtered_oracle():
+    for m in range(1, 10):
+        items = list(range(1, m + 1))
+        for k in range(1, m + 1):
+            got = [canonical(p) for p in _partitions_into(items, k)]
+            want = {canonical(p) for p in all_partitions_into(items, k)
+                    if all(len(part) >= 2 for part in p)}
+            assert len(got) == len(set(got)), (m, k)
+            assert set(got) == want, (m, k)
+
+
 def test_count_plane_trees_closed_form():
     # m!/s! C(m-s-1, s-1) with m = n+s-1
-    for n in range(2, 7):
+    for n in range(2, 8):
         for s in range(1, n):
             m = n + s - 1
             closed = math.factorial(m) // math.factorial(s) \
