@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .cohomology import poincare_bruteforce
+from .cohomology import BUILDING_SET_GUARD, poincare_bruteforce
 from .formulas import (
     D3_DEGENERATE_NOTE,
     big_gamma,
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.add_argument("--trunc", type=int, default=None,
                    help="series depth for r >= 2, default n+2")
-    p.add_argument("--seed-guard", type=int, default=5000,
+    p.add_argument("--seed-guard", type=int, default=BUILDING_SET_GUARD,
                    help="building set size limit for enumeration")
     _format_flag(p)
 

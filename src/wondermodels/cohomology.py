@@ -17,6 +17,7 @@ into one partition part per internal vertex.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .lattice import (
@@ -24,12 +25,16 @@ from .lattice import (
     GroupId,
     GuardExceeded,
     _universe,
+    bits,
     building_set,
     contains,
     d_value,
     is_nested,
 )
 from .series import QPolynomial
+
+# largest building set the enumeration route walks (poincare --seed-guard)
+BUILDING_SET_GUARD = 5000
 
 
 class MalformedPartition(ValueError):
@@ -91,80 +96,62 @@ def _d_value(uni, i: int, mask: int) -> int:
     """
     inside = mask & uni.below[i]
     covered = 0
-    m = inside
-    while m:
-        low = m & -m
-        covered |= uni.below[low.bit_length() - 1]
-        m ^= low
-    d = uni.dims[i]
-    m = inside & ~covered
-    while m:
-        low = m & -m
-        d -= uni.dims[low.bit_length() - 1]
-        m ^= low
-    return d
+    for j in bits(inside):
+        covered |= uni.below[j]
+    return uni.dims[i] - sum(uni.dims[j] for j in bits(inside & ~covered))
 
 
 def _admissible_supports(g: GroupId, weak_only: bool = False,
-                         max_building: int = 5000):
+                         max_building: int = BUILDING_SET_GUARD):
     """Yield (universe, mask, d-list) for every nested set all of whose
     members admit a positive exponent (d >= 2 throughout); the d-list
     pairs each member's index with its d-value.
 
     Rank-1 elements always have d = 1, so no such set contains them;
     the universe leaves them out up front, which shrinks the search a lot.
+    It lists the rest inside first (by dimension, stable over the
+    building set's order), so no member joins a set after a member that
+    contains it: each member's d-value is final as soon as it joins.
     """
     full = building_set(g)
     if len(full) > max_building:
         raise GuardExceeded(
             f"building set of {g} has {len(full)} elements (guard {max_building})")
-    uni = _universe(g, tuple(e for e in full
-                             if e.dimension() >= 2 and not (weak_only and e.is_strong)))
+    uni = _universe(g, tuple(sorted(
+        (e for e in full if e.dimension() >= 2 and not (weak_only and e.is_strong)),
+        key=BuildingElement.dimension)))
 
     def veto(i: int, newmask: int) -> bool:
-        # d-values only shrink as the set grows, so a member stuck at
-        # d <= 1 kills every extension as well
-        m = newmask
-        while m:
-            low = m & -m
-            if _d_value(uni, low.bit_length() - 1, newmask) <= 1:
-                return True
-            m ^= low
-        return False
+        # every earlier member passed this test and its d-value is final;
+        # a newcomer at d <= 1 stays there in every extension
+        return _d_value(uni, i, newmask) <= 1
 
     for mask in uni.nested_masks(veto):
-        ds = []
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            ds.append((i, _d_value(uni, i, mask)))
-            m ^= low
-        yield uni, mask, ds
+        yield uni, mask, [(i, _d_value(uni, i, mask)) for i in bits(mask)]
 
 
-def poincare_bruteforce(g: GroupId, max_building: int = 5000) -> QPolynomial:
+def poincare_bruteforce(g: GroupId,
+                        max_building: int = BUILDING_SET_GUARD) -> QPolynomial:
     """Poincare polynomial by summing q^|f| over all admissible functions.
 
     Each support contributes the product over its members of
-    q + q^2 + ... + q^(d-1).
+    q + q^2 + ... + q^(d-1), which depends only on its d-values; supports
+    are counted by their sorted d-tuple and each tuple's product is
+    taken once.
     """
-    total: dict[int, int] = {}
-    for _, _, ds in _admissible_supports(g, max_building=max_building):
-        poly = {0: 1}
-        for _, d in ds:
-            new: dict[int, int] = {}
-            for e, c in poly.items():
-                for k in range(1, d):
-                    new[e + k] = new.get(e + k, 0) + c
-            poly = new
-        for e, c in poly.items():
-            total[e] = total.get(e, 0) + c
-    return QPolynomial(total)
+    tuples = Counter(tuple(sorted(d for _, d in ds))
+                     for _, _, ds in _admissible_supports(g, max_building=max_building))
+    total = QPolynomial()
+    for ds, count in tuples.items():
+        poly = QPolynomial({0: count})
+        for d in ds:
+            poly = poly * QPolynomial({k: 1 for k in range(1, d)})
+        total = total + poly
+    return total
 
 
 def enumerate_admissible(g: GroupId, weak_only: bool = False,
-                         max_building: int = 5000):
+                         max_building: int = BUILDING_SET_GUARD):
     """Yield every admissible function, the zero function first.
 
     weak_only restricts supports to weighted blocks (the domain of the

@@ -233,9 +233,8 @@ def euler_from_x(n: int) -> int:
     if n < 2:
         raise ValueError("need n >= 2")
     val = coeff(x_typeA(n - 1), et=n - 1) * math.factorial(n - 1)
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integer Euler characteristic at n={n}")
-    return val.numerator
+    return _exact(val.numerator, val.denominator,
+                  f"non-integer Euler characteristic at n={n}")
 
 
 def tilde_gamma(trunc: int) -> TruncatedSeries:
@@ -276,6 +275,14 @@ def f_cy(variant: str, trunc: int) -> TruncatedSeries:
     raise ValueError(f"variant must be 'B' or 'D', got {variant!r}")
 
 
+def _check_bd_n(variant: str, n: int) -> None:
+    """The smallest n each B/D readout answers for (f_cy itself takes any trunc)."""
+    if variant == "B" and n < 1:
+        raise ValueError("type B needs n >= 1")
+    if variant == "D" and n < 3:
+        raise ValueError("type D needs n >= 3")
+
+
 def fvector_from_fcy(variant: str, n: int) -> list[int]:
     """f-vector [codim 1 .. codim n faces] of one nestohedron chamber.
 
@@ -283,10 +290,7 @@ def fvector_from_fcy(variant: str, n: int) -> list[int]:
     the degenerate reducible case; the series still returns the type A
     values [1, 5, 5] there (see D3_DEGENERATE_NOTE).
     """
-    if variant == "B" and n < 1:
-        raise ValueError("type B needs n >= 1")
-    if variant == "D" and n < 3:
-        raise ValueError("type D needs n >= 3")
+    _check_bd_n(variant, n)
     s_cy = f_cy(variant, n)
     # coefficient / 2^n (B) or / 2^(n-1) (D); the numerator is over den * n!
     den = s_cy.den * (2 ** n if variant == "B" else 2 ** (n - 1)) * math.factorial(n)
@@ -306,11 +310,8 @@ def euler_series_bd(variant: str, trunc: int) -> TruncatedSeries:
 
 
 def euler_from_bd(variant: str, n: int) -> int:
-    if variant == "B" and n < 1:
-        raise ValueError("type B needs n >= 1")
-    if variant == "D" and n < 3:
-        raise ValueError("type D needs n >= 3")
+    """Euler characteristic of the compact real B/D model on n points."""
+    _check_bd_n(variant, n)
     val = coeff(euler_series_bd(variant, n), et=n) * math.factorial(n)
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integer Euler characteristic at n={n}")
-    return val.numerator
+    return _exact(val.numerator, val.denominator,
+                  f"non-integer Euler characteristic at n={n}")

@@ -301,13 +301,22 @@ def is_nested_def(s, g: GroupId) -> bool:
     return extend(0, [], LatticeElement.bottom(g.r))
 
 
+def bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _NestedUniverse:
-    """The nested-set rule over a fixed sorted list of building elements.
+    """The nested-set rule over a tuple of building elements, in the order
+    the caller gives them; element i is bit i of every mask.
 
     Pairs must be comparable or span a direct sum whose join leaves the
     building set; for G(2,2,n) one global rule comes on top (see
     _antiparallel_rule).  Pairwise bitmasks, built once, drive both the
-    backtracking enumerations and is_nested.
+    candidate-set walk of nested_masks and is_nested.
     """
 
     def __init__(self, g: GroupId, elems: tuple[BuildingElement, ...]):
@@ -336,7 +345,7 @@ class _NestedUniverse:
         self.rr2 = g.variant is Variant.RR and g.r == 2
         self.partner = [-1] * nb
         self.strong_mask = 0
-        self.covers_anti = [0] * nb  # for weak i: strongs containing support(i)
+        self.covers_anti = [0] * nb  # bit j: strong elems[j] contains elems[i]
         if self.rr2:
             by_support: dict[tuple[int, ...], list[int]] = {}
             for i, e in enumerate(elems):
@@ -349,12 +358,9 @@ class _NestedUniverse:
                     a, b = idxs
                     self.partner[a] = b
                     self.partner[b] = a
-            for i, e in enumerate(elems):
-                if not e.is_strong and self.partner[i] >= 0:
-                    sup = set(e.support)
-                    for jdx, f in enumerate(elems):
-                        if f.is_strong and sup <= set(f.support):
-                            self.covers_anti[i] |= 1 << jdx
+            for j in bits(self.strong_mask):
+                for i in bits(self.below[j]):
+                    self.covers_anti[i] |= 1 << j
 
     def _antiparallel_rule(self, i: int, mask: int, anti: int):
         """The G(2,2,n) global rule for adding elems[i] to the nested set mask.
@@ -366,8 +372,11 @@ class _NestedUniverse:
         into a single zero set of size >= 3, which is back in the building
         set even though every pair looks fine.  anti is the bitmask of the
         pair inside mask (0 if none).  Returns the pair's bitmask after the
-        addition, or None when the addition breaks the rule.
+        addition, or None when the addition breaks the rule; outside
+        G(2,2,n) the rule is void and anti comes back unchanged.
         """
+        if not self.rr2:
+            return anti
         if self.partner[i] >= 0 and mask >> self.partner[i] & 1:
             # this addition completes an antiparallel pair
             if anti or mask & self.strong_mask & ~self.covers_anti[i]:
@@ -382,29 +391,28 @@ class _NestedUniverse:
     def nested_masks(self, veto=None):
         """All nested subsets as bitmasks, in lexicographic index order.
 
+        Each set is extended only by the candidates it carries: the
+        elements after its last member that pair well with every member,
+        so cand & ok[i] is the candidate set after adding element i.
+
         veto(i, newmask), when given, may return True to cut the whole
         subtree rooted at extending the current set by element i; sound
         whenever the caller's reason to skip newmask persists under
         adding further elements.
         """
-        nb = len(self.elems)
-
-        def dfs(start: int, mask: int, anti: int):
+        def dfs(cand: int, mask: int, anti: int):
             yield mask
-            for i in range(start, nb):
-                if mask & ~self.ok[i]:
+            for i in bits(cand):
+                cand ^= 1 << i  # bits() walks its own copy; cand keeps what follows i
+                new_anti = self._antiparallel_rule(i, mask, anti)
+                if new_anti is None:
                     continue
-                new_anti = anti
-                if self.rr2:
-                    new_anti = self._antiparallel_rule(i, mask, anti)
-                    if new_anti is None:
-                        continue
                 newmask = mask | 1 << i
                 if veto is not None and veto(i, newmask):
                     continue
-                yield from dfs(i + 1, newmask, new_anti)
+                yield from dfs(cand & self.ok[i], newmask, new_anti)
 
-        yield from dfs(0, 0, 0)
+        yield from dfs((1 << len(self.elems)) - 1, 0, 0)
 
 
 def _universe(g: GroupId, elems=None) -> _NestedUniverse:
@@ -422,10 +430,9 @@ def is_nested(s, g: GroupId) -> bool:
     for i in range(len(uni.elems)):
         if mask & ~uni.ok[i]:
             return False
-        if uni.rr2:
-            anti = uni._antiparallel_rule(i, mask, anti)
-            if anti is None:
-                return False
+        anti = uni._antiparallel_rule(i, mask, anti)
+        if anti is None:
+            return False
         mask |= 1 << i
     return True
 

@@ -130,9 +130,6 @@ class TruncatedSeries:
     def __str__(self):
         return format_series(self)
 
-    def is_zero(self) -> bool:
-        return not any(self.slices)
-
 
 class Terms(Mapping):
     """Read-only view {(eq, et, ez, ew): Fraction} of a series.
@@ -406,10 +403,6 @@ class QPolynomial:
             if c:
                 clean[e] = int(c)
         self.coeffs = clean
-
-    @classmethod
-    def from_list(cls, values) -> "QPolynomial":
-        return cls({e: c for e, c in enumerate(values)})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -10,12 +10,20 @@ from wondermodels.cohomology import (
     MalformedPartition,
     Part,
     WeightedPartition,
+    _admissible_supports,
     decode_partition,
     encode_partition,
     enumerate_admissible,
     poincare_bruteforce,
 )
-from wondermodels.lattice import BuildingElement, GroupId, GuardExceeded, _universe
+from wondermodels.lattice import (
+    BuildingElement,
+    GroupId,
+    GuardExceeded,
+    _universe,
+    contains,
+    d_value,
+)
 
 
 def weak(coords, weights, r):
@@ -164,6 +172,36 @@ def test_weak_only_is_a_restriction():
 ])
 def test_count_nested_sets(r, p, n, count):
     assert sum(1 for _ in _universe(GroupId(r, p, n)).nested_masks()) == count
+
+
+VETO_GROUPS = sorted({(r, p, n) for r in (1, 2, 3) for p in (1, r)
+                      for n in (2, 3, 4)} | {(2, 2, 5)})
+
+
+@pytest.mark.parametrize("weak_only", [False, True])
+@pytest.mark.parametrize("rpn", VETO_GROUPS, ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_admissible_supports_are_the_nested_sets_with_d_at_least_2(rpn, weak_only):
+    # Poincare polynomials cannot see an unsound veto (a support with a
+    # member at d <= 1 contributes the empty product), so compare the
+    # supports themselves with every nested set of the full building set
+    # whose members all have d >= 2 by lattice.d_value
+    g = GroupId(*rpn)
+    want = {}
+    full = _universe(g)
+    for mask in full.nested_masks():
+        members = [e for i, e in enumerate(full.elems) if mask >> i & 1]
+        if weak_only and any(e.is_strong for e in members):
+            continue
+        ds = {a: d_value([c for c in members if c != a and contains(a, c)], a, g)
+              for a in members}
+        if all(d >= 2 for d in ds.values()):
+            want[frozenset(members)] = ds
+    got = {}
+    for uni, _, ds in _admissible_supports(g, weak_only):
+        support = frozenset(uni.elems[i] for i, _ in ds)
+        assert support not in got
+        got[support] = {uni.elems[i]: d for i, d in ds}
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
