@@ -175,6 +175,8 @@ def _poincare_series(g: GroupId, trunc: int) -> QPolynomial:
 
 def run_poincare(args) -> int:
     g = GroupId(args.r, args.p, args.n)
+    if args.seed_guard < 1:
+        raise ValueError(f"--seed-guard must be at least 1, got {args.seed_guard}")
     if g.r == 1 and args.trunc is not None:
         raise ValueError("--trunc does not apply to r = 1: the psi series "
                          "sets its own depth from n")

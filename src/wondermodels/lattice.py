@@ -46,7 +46,7 @@ class GroupId:
         if self.r % self.p:
             raise ValueError(f"p = {self.p} does not divide r = {self.r}")
 
-    @property
+    @functools.cached_property
     def variant(self) -> Variant:
         if self.r == 1:
             return Variant.TYPE_A
@@ -54,7 +54,7 @@ class GroupId:
             return Variant.RR
         return Variant.FULL_MONOMIAL
 
-    @property
+    @functools.cached_property
     def min_zero_set(self) -> int:
         """Size of the smallest zero set in the building set (n + 1 for
         type A, which has none)."""
@@ -173,46 +173,45 @@ def join(a: LatticeElement, b: LatticeElement) -> LatticeElement:
     Overlapping blocks merge when their weights agree up to one global mod-r
     shift on the overlap; otherwise x_i = zeta^u x_j = zeta^v x_j forces the
     whole merged component to zero.  Blocks touching the zero set are zeroed.
+
+    One pass: each block in turn merges into the components it overlaps,
+    one shift check per overlap, and the merged keys go to zero on a
+    conflict.  The components left are pairwise disjoint, so zeroing the
+    ones that touch the zero set at the end cannot reach another.
     """
     if a.r != b.r:
         raise ValueError("lattice elements from different r")
     r = a.r
     zeros = set(a.zeros) | set(b.zeros)
-    blocks: list[dict[int, int]] = [dict(zip(s, w)) for s, w in a.blocks + b.blocks]
-
-    changed = True
-    while changed:
-        changed = False
-        for i, blk in enumerate(blocks):
-            if zeros & blk.keys():
-                zeros |= blk.keys()
-                del blocks[i]
-                changed = True
-                break
-        if changed:
-            continue
-        for i, j in itertools.combinations(range(len(blocks)), 2):
-            bi, bj = blocks[i], blocks[j]
-            shared = bi.keys() & bj.keys()
+    comps: list[dict[int, int]] = []
+    for support, weights in a.blocks + b.blocks:
+        merged = dict(zip(support, weights))  # None once it went to zero
+        rest = []
+        for comp in comps:
+            # comps are disjoint, so comp meets merged only on this block
+            shared = [x for x in support if x in comp]
             if not shared:
+                rest.append(comp)
                 continue
-            shifts = {(bi[x] - bj[x]) % r for x in shared}
-            if len(shifts) == 1:
-                shift = shifts.pop()
-                merged = dict(bi)
-                for x, wx in bj.items():
-                    merged[x] = (wx + shift) % r
-                blocks[j] = merged
-                del blocks[i]
-            else:
-                zeros |= bi.keys() | bj.keys()
-                del blocks[j]
-                del blocks[i]
-            changed = True
-            break
-
-    norm = tuple(sorted(_normalize_block(blk, r) for blk in blocks))
-    return LatticeElement(r, tuple(sorted(zeros)), norm)
+            if merged is not None:
+                shift = (merged[shared[0]] - comp[shared[0]]) % r
+                if all((merged[x] - comp[x]) % r == shift for x in shared):
+                    for x, w in comp.items():
+                        merged[x] = (w + shift) % r
+                    continue
+                zeros.update(merged)
+                merged = None
+            zeros.update(comp)
+        if merged is not None:
+            rest.append(merged)
+        comps = rest
+    blocks = []
+    for comp in comps:
+        if zeros.isdisjoint(comp):
+            blocks.append(_normalize_block(comp, r))
+        else:
+            zeros.update(comp)
+    return LatticeElement(r, tuple(sorted(zeros)), tuple(sorted(blocks)))
 
 
 def join_all(elements, r: int) -> LatticeElement:
@@ -317,30 +316,41 @@ class _NestedUniverse:
     building set; for G(2,2,n) one global rule comes on top (see
     _antiparallel_rule).  Pairwise bitmasks, built once, drive both the
     candidate-set walk of nested_masks and is_nested.
+
+    The build asks contains only where one support bitmask lies inside
+    the other, and decides every incomparable pair by the join of two
+    lattice views made once per element.
     """
 
     def __init__(self, g: GroupId, elems: tuple[BuildingElement, ...]):
         self.group = g
         self.elems = elems
         nb = len(elems)
-        self.dims = [e.dimension() for e in elems]
-        self.ok = [0] * nb          # bit j: the pair {i,j} is nested
-        self.below = [0] * nb       # bit j: elems[j] strictly inside elems[i]
-        for i, j in itertools.combinations(range(nb), 2):
-            a, b = elems[i], elems[j]
-            if contains(a, b):
-                self.below[i] |= 1 << j
-            elif contains(b, a):
-                self.below[j] |= 1 << i
-            else:
-                # incomparable members of a nested set span a direct sum
-                # that is not itself in the building set
-                joined = join(a.as_lattice(), b.as_lattice())
-                if in_building(joined, g) or \
-                        joined.dimension() != self.dims[i] + self.dims[j]:
-                    continue
-            self.ok[i] |= 1 << j
-            self.ok[j] |= 1 << i
+        self.dims = dims = [e.dimension() for e in elems]
+        self.ok = ok = [0] * nb          # bit j: the pair {i,j} is nested
+        self.below = below = [0] * nb    # bit j: elems[j] strictly inside elems[i]
+        # containment needs the inner support inside the outer one, so the
+        # support bitmasks screen out most contains calls; the lattice
+        # views are built once per element, not once per pair
+        masks = [sum(1 << x for x in e.support) for e in elems]
+        views = [e.as_lattice() for e in elems]
+        for i in range(nb):
+            a, ma, va, da = elems[i], masks[i], views[i], dims[i]
+            for j in range(i + 1, nb):
+                b, mb = elems[j], masks[j]
+                if not mb & ~ma and contains(a, b):
+                    below[i] |= 1 << j
+                elif not ma & ~mb and contains(b, a):
+                    below[j] |= 1 << i
+                else:
+                    # incomparable members of a nested set span a direct
+                    # sum that is not itself in the building set
+                    joined = join(va, views[j])
+                    if in_building(joined, g) or \
+                            joined.dimension() != da + dims[j]:
+                        continue
+                ok[i] |= 1 << j
+                ok[j] |= 1 << i
         # data for the G(2,2,n) global rule
         self.rr2 = g.variant is Variant.RR and g.r == 2
         self.partner = [-1] * nb

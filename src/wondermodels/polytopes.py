@@ -9,10 +9,11 @@ codimension k; the empty tubing is the polytope itself.
 
 Tubings are counted, not visited: they are the cliques of the tube
 compatibility graph, counted by size with a memo keyed on the candidate
-set.  Plane forests are enumerated as set partitions whose parts all have
-at least two items, so no partition with a singleton part is ever built.
-Neither count uses a generating series: both are independent of
-wondermodels.formulas and serve as its oracle.
+set.  Plane forests are counted as set partitions whose parts all have at
+least two items, by a recursion on the part of the lowest item memoised on
+the number of items and parts left.  Neither count uses a generating
+series: both are independent of wondermodels.formulas and serve as its
+oracle.
 """
 
 from __future__ import annotations
@@ -155,41 +156,34 @@ def fvector_tubings(graph: Graph) -> list[int]:
 
 
 def count_plane_trees(n: int, s: int) -> int:
-    """Plane rooted forests with s internal vertices on n labeled leaves,
-    counted by enumerating set partitions of {1..n+s-1} into s parts of
-    size >= 2 and ordering each part internally.
+    """Plane rooted forests with s internal vertices on n labeled leaves:
+    the set partitions of m = n+s-1 items into s parts of size >= 2, each
+    part ordered internally.
 
-    Agrees with (m!/s!) C(m-s-1, s-1) for m = n+s-1 and with
-    n! * kirkman_cayley(n, s); kept enumerative to stay an independent
-    check.  Partitions with a singleton part are never built.
+    count(items, k) sums, over the size of the lowest item's part, the
+    C(items-1, size-1) ways to pick its mates, its size! orders and
+    count(items-size, k-1) for the items left; it depends only on items
+    and k, so it is memoised on them.  Agrees with (m!/s!) C(m-s-1, s-1)
+    and with n! * kirkman_cayley(n, s); kept free of both to stay an
+    independent check.
     """
     if n < 2 or not 1 <= s <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= s <= n-1, got ({n},{s})")
-    m = n + s - 1
-    total = 0
-    for parts in _partitions_into(list(range(1, m + 1)), s):
-        prod = 1
-        for p in parts:
-            prod *= math.factorial(len(p))
-        total += prod
-    return total
+    memo: dict[tuple[int, int], int] = {}
 
+    def count(items: int, k: int) -> int:
+        if k == 0:
+            return 1 if items == 0 else 0
+        got = memo.get((items, k))
+        if got is None:
+            # the lowest item's part leaves at least two items per other part
+            got = sum(math.comb(items - 1, size - 1) * math.factorial(size)
+                      * count(items - size, k - 1)
+                      for size in range(2, items - 2 * (k - 1) + 1))
+            memo[items, k] = got
+        return got
 
-def _partitions_into(items: list[int], k: int):
-    """Set partitions of items into exactly k parts, each of size >= 2."""
-    if k == 1:
-        if len(items) >= 2:
-            yield [items]
-        return
-    first, rest = items[0], items[1:]
-    # the part of first takes a nonempty subset of the rest and leaves at
-    # least two items for each of the other k - 1 parts
-    for size in range(1, len(rest) - 2 * (k - 1) + 1):
-        for mates in itertools.combinations(rest, size):
-            taken = set(mates)
-            left = [x for x in rest if x not in taken]
-            for sub in _partitions_into(left, k - 1):
-                yield [[first, *mates], *sub]
+    return count(n + s - 1, s)
 
 
 EULER_CW_RANGE = {"A": (2, 7), "B": (1, 5), "D": (4, 5)}

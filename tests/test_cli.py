@@ -64,6 +64,16 @@ def test_poincare_guard_violation(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("guard", ["-1", "0"])
+@pytest.mark.parametrize("method", ["bruteforce", "series"])
+def test_poincare_seed_guard_below_one_is_a_bad_argument(capsys, guard, method):
+    code = cli.main(["poincare", "--r", "2", "--p", "1", "--n", "3",
+                     "--method", method, "--seed-guard", guard])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert f"--seed-guard must be at least 1, got {guard}" in captured.err
+
+
 def test_poincare_bad_group(capsys):
     code, _ = run_cli(capsys, "poincare", "--r", "3", "--p", "2", "--n", "3")
     assert code == 4

@@ -1,14 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wondermodels.cohomology import _d_value, poincare_bruteforce
+from wondermodels.cohomology import _admissible_supports, _d_value, poincare_bruteforce
 from wondermodels.lattice import (
     BuildingElement,
     GroupId,
     GuardExceeded,
     LatticeElement,
     Variant,
+    _normalize_block,
     _universe,
     building_set,
     comparable,
@@ -269,3 +272,137 @@ def test_d_values_from_maximal_members_match_the_join(rpn):
             inside = [uni.elems[j] for j in members if uni.below[i] >> j & 1]
             assert _d_value(uni, i, mask) == d_value(inside, uni.elems[i], g), \
                 (rpn, [uni.elems[j] for j in members], uni.elems[i])
+
+
+def join_by_restart(a, b):
+    """Reference join: merge or zero one pair of blocks at a time and start
+    over after every change."""
+    r = a.r
+    zeros = set(a.zeros) | set(b.zeros)
+    blocks = [dict(zip(s, w)) for s, w in a.blocks + b.blocks]
+    changed = True
+    while changed:
+        changed = False
+        for i, blk in enumerate(blocks):
+            if zeros & blk.keys():
+                zeros |= blk.keys()
+                del blocks[i]
+                changed = True
+                break
+        if changed:
+            continue
+        for i, j in itertools.combinations(range(len(blocks)), 2):
+            bi, bj = blocks[i], blocks[j]
+            shared = bi.keys() & bj.keys()
+            if not shared:
+                continue
+            shifts = {(bi[x] - bj[x]) % r for x in shared}
+            if len(shifts) == 1:
+                shift = shifts.pop()
+                merged = dict(bi)
+                for x, wx in bj.items():
+                    merged[x] = (wx + shift) % r
+                blocks[j] = merged
+                del blocks[i]
+            else:
+                zeros |= bi.keys() | bj.keys()
+                del blocks[j]
+                del blocks[i]
+            changed = True
+            break
+    norm = tuple(sorted(_normalize_block(blk, r) for blk in blocks))
+    return LatticeElement(r, tuple(sorted(zeros)), norm)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_join_matches_reference_on_building_element_pairs(r):
+    elems = sorted({e for p in range(1, r + 1) if r % p == 0 for n in (2, 3, 4)
+                    for e in building_set(GroupId(r, p, n))})
+    views = [e.as_lattice() for e in elems]
+    for a, b in itertools.product(views, repeat=2):
+        assert join(a, b) == join_by_restart(a, b), (a, b)
+
+
+@st.composite
+def element_chains(draw):
+    """r <= 5 and 3 to 7 building elements on at most 6 coordinates."""
+    r = draw(st.integers(1, 5))
+    elems = []
+    for _ in range(draw(st.integers(3, 7))):
+        support = sorted(draw(st.sets(st.integers(1, 6), min_size=1 if r > 1 else 2)))
+        if len(support) == 1 or (r > 1 and draw(st.booleans())):
+            elems.append(S(support, r))
+        else:
+            tail = draw(st.lists(st.integers(0, r - 1), min_size=len(support) - 1,
+                                 max_size=len(support) - 1))
+            elems.append(W(support, [0, *tail], r))
+    return elems, draw(st.integers(1, len(elems) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_chains())
+# {0,1} with blocks {2,3}, {4,5} joined to {1,2^1}, {3,4^1}, {5,6}
+@example(([S((1,), 3), W((2, 3), (0, 1), 3), W((4, 5), (0, 2), 3),
+           W((1, 2), (0, 1), 3), W((3, 4), (0, 1), 3), W((5, 6), (0, 0), 3)], 3))
+def test_join_chains_match_reference(chain):
+    # fold each side of the split with both joins, then join the two
+    # composites: a zero set and several blocks on each side
+    elems, split = chain
+    r = elems[0].r
+    sides = []
+    for part in (elems[:split], elems[split:]):
+        acc = ref = part[0].as_lattice()
+        for e in part[1:]:
+            acc, ref = join(acc, e.as_lattice()), join_by_restart(ref, e.as_lattice())
+            assert acc == ref, (part, e)
+        sides.append(acc)
+    left, right = sides
+    assert join(left, right) == join_by_restart(left, right) == join(right, left)
+    assert join(left, right) == join_all(elems, r)
+
+
+def universe_by_pairs(g, elems):
+    """Reference pair table: contains both ways on every pair, then join of
+    fresh lattice views; the G(2,2,n) data straight from contains."""
+    nb = len(elems)
+    ok, below = [0] * nb, [0] * nb
+    for i, j in itertools.combinations(range(nb), 2):
+        a, b = elems[i], elems[j]
+        if contains(a, b):
+            below[i] |= 1 << j
+        elif contains(b, a):
+            below[j] |= 1 << i
+        else:
+            joined = join(a.as_lattice(), b.as_lattice())
+            if in_building(joined, g) or \
+                    joined.dimension() != a.dimension() + b.dimension():
+                continue
+        ok[i] |= 1 << j
+        ok[j] |= 1 << i
+    rr2 = g.variant is Variant.RR and g.r == 2
+    partner, covers_anti = [-1] * nb, [0] * nb
+    if rr2:
+        for i, j in itertools.permutations(range(nb), 2):
+            a, b = elems[i], elems[j]
+            # the two blocks on one 2-point support are antiparallel
+            if not a.is_strong and not b.is_strong and a.support == b.support \
+                    and len(a.support) == 2:
+                partner[i] = j
+            if b.is_strong and contains(b, a):
+                covers_anti[i] |= 1 << j
+    return ok, below, covers_anti, partner
+
+
+UNIVERSE_GROUPS = sorted({(r, p, n) for r in (1, 2, 3) for p in {1, r}
+                          for n in (2, 3, 4)} | {(3, 1, 5), (2, 2, 6), (1, 1, 7)})
+
+
+@pytest.mark.parametrize("rpn", UNIVERSE_GROUPS, ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_universe_matches_pairwise_reference(rpn):
+    # the full building set, and the inside-first d >= 2 list of the
+    # brute-force Poincare route
+    g = GroupId(*rpn)
+    admissible, _, _ = next(_admissible_supports(g))
+    for uni in (_universe(g), admissible):
+        got = (uni.ok, uni.below, uni.covers_anti, uni.partner)
+        assert got == universe_by_pairs(g, uni.elems), (rpn, len(uni.elems))

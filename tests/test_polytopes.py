@@ -16,7 +16,6 @@ from wondermodels.polytopes import (
     TUBE_NODE_GUARD,
     Graph,
     _compatible,
-    _partitions_into,
     count_plane_trees,
     dynkin_graph,
     enumerate_tubes,
@@ -66,6 +65,24 @@ def all_partitions_into(items, k):
     for sub in all_partitions_into(rest, k):
         for i in range(len(sub)):
             yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
+
+
+def partitions_into(items, k):
+    """Reference: set partitions of items into exactly k parts, each of
+    size >= 2, built one at a time (no singleton part is ever built)."""
+    if k == 1:
+        if len(items) >= 2:
+            yield [items]
+        return
+    first, rest = items[0], items[1:]
+    # the part of first takes a nonempty subset of the rest and leaves at
+    # least two items for each of the other k - 1 parts
+    for size in range(1, len(rest) - 2 * (k - 1) + 1):
+        for mates in itertools.combinations(rest, size):
+            taken = set(mates)
+            left = [x for x in rest if x not in taken]
+            for sub in partitions_into(left, k - 1):
+                yield [[first, *mates], *sub]
 
 
 def canonical(partition):
@@ -208,11 +225,21 @@ def test_partitions_without_singletons_match_filtered_oracle():
     for m in range(1, 10):
         items = list(range(1, m + 1))
         for k in range(1, m + 1):
-            got = [canonical(p) for p in _partitions_into(items, k)]
+            got = [canonical(p) for p in partitions_into(items, k)]
             want = {canonical(p) for p in all_partitions_into(items, k)
                     if all(len(part) >= 2 for part in p)}
             assert len(got) == len(set(got)), (m, k)
             assert set(got) == want, (m, k)
+
+
+def test_count_plane_trees_matches_partition_walk():
+    # every partition of m = n+s-1 items into s parts of size >= 2,
+    # each part ordered internally
+    for n in range(2, 9):
+        for s in range(1, n):
+            walked = sum(math.prod(math.factorial(len(part)) for part in parts)
+                         for parts in partitions_into(list(range(1, n + s)), s))
+            assert count_plane_trees(n, s) == walked, (n, s)
 
 
 def test_count_plane_trees_closed_form():
