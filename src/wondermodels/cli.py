@@ -42,7 +42,14 @@ from .formulas import (
     x_typeA,
 )
 from .lattice import GroupId, GuardExceeded
-from .polytopes import EULER_CW_RANGE, dynkin_graph, euler_cw, fvector_tubings
+from .polytopes import (
+    EULER_CW_RANGE,
+    dynkin_graph,
+    euler_cw,
+    fvector_tubings,
+    gamma_vector,
+    h_vector,
+)
 from .series import QPolynomial, dump_json
 
 EXIT_OK = 0
@@ -208,6 +215,17 @@ def _fvector_series(family: str, n: int) -> list[int]:
     return fvector_from_fcy(family, n)
 
 
+def _check_face_numbers(family: str, n: int, fvec: list[int]) -> None:
+    """Every nestohedron is a simple polytope, and those of Dynkin graphs
+    (chordal, being trees) have gamma >= 0 (Postnikov-Reiner-Williams):
+    the h-vector of fvec must be palindromic (Dehn-Sommerville) with a
+    nonnegative gamma-vector."""
+    h = h_vector(fvec)
+    if h != h[::-1] or min(gamma_vector(h)) < 0:
+        raise ArithmeticError(f"series f-vector {fvec} of {family} n={n} has h-vector {h}: "
+                              "not palindromic with nonnegative gamma-vector")
+
+
 def _fvector_tubings(family: str, n: int) -> list[int]:
     if family == "D" and n == 3:
         # reducible case: same polytope as the 4-point type A model
@@ -224,6 +242,9 @@ def run_fvector(args) -> int:
     if args.method in ("tubings", "both"):
         values["tubings"] = _fvector_tubings(family, n)
     fvec, verdict = _compare(values)
+    if "series" in values and verdict != "mismatch":
+        # a mismatch is already exit 2, and prints both answers
+        _check_face_numbers(family, n, values["series"])
     text = [f"{family} n={n} [{args.method}]: {fvec}"]
     if verdict:
         text.append(f"verdict: {verdict}")
@@ -259,9 +280,10 @@ def run_euler(args) -> int:
 def run_series_dump(args) -> int:
     if args.r < 1:
         raise ValueError(f"--r must be at least 1, got {args.r}")
-    if not 1 <= args.trunc <= DUMP_TRUNC_GUARD:
-        raise GuardExceeded(
-            f"--trunc must be between 1 and {DUMP_TRUNC_GUARD}, got {args.trunc}")
+    if args.trunc < 1:
+        raise ValueError(f"--trunc must be at least 1, got {args.trunc}")
+    if args.trunc > DUMP_TRUNC_GUARD:
+        raise GuardExceeded(f"--trunc must be at most {DUMP_TRUNC_GUARD}, got {args.trunc}")
     series = SERIES_REGISTRY[args.name](args.r, args.trunc)
     print(dump_json(series, args.name))
     return EXIT_OK

@@ -155,6 +155,26 @@ def fvector_tubings(graph: Graph) -> list[int]:
     return fvec
 
 
+def h_vector(fvec: list[int]) -> list[int]:
+    """h-vector of a simple d-polytope from its face counts by codimension
+    (fvec[0] = 1 the polytope, fvec[d] the vertices): sum_k h_k t^k =
+    sum_i f_i (t - 1)^i, where f_i = fvec[d - i] counts the i-faces.
+    Dehn-Sommerville says it is palindromic."""
+    d = len(fvec) - 1
+    return [sum((-1) ** (i - k) * math.comb(i, k) * fvec[d - i] for i in range(k, d + 1))
+            for k in range(d + 1)]
+
+
+def gamma_vector(h: list[int]) -> list[int]:
+    """gamma-vector of a palindromic h-vector of degree d:
+    sum_k h_k t^k = sum_i gamma_i t^i (1 + t)^(d - 2i), i <= d/2."""
+    d = len(h) - 1
+    gamma: list[int] = []
+    for i in range(d // 2 + 1):
+        gamma.append(h[i] - sum(g * math.comb(d - 2 * j, i - j) for j, g in enumerate(gamma)))
+    return gamma
+
+
 def count_plane_trees(n: int, s: int) -> int:
     """Plane rooted forests with s internal vertices on n labeled leaves:
     the set partitions of m = n+s-1 items into s parts of size >= 2, each

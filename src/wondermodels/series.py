@@ -19,6 +19,21 @@ of the slices, and exp and 1/(1-s) are the O(trunc^2) coefficient
 recurrences of Knuth, TAOCP vol. 2, 4.7.  The z -> d/dt substitution and
 t-integration only move numerators between slices.
 
+Inside one product or recurrence the slices are keyed by a dense index.
+The call picks a box, top degrees Q-1 in q and Z-1 in z that no output
+term exceeds: the two operands' top degrees added for a product, and
+max_k trunc * deg(S_k) / k for a recurrence, whose A_n is a sum of
+products S_k1...S_kj with k1 + ... + kj = n.  q^eq z^ez w^ew gets index
+eq + Q*ez + Q*Z*ew, so in the box the product of two terms sits at the sum
+of their indices with no carry, and an output slice accumulates in a list
+that is decoded once into the dict form.  A run, three or more consecutive
+indices with one coefficient (a q-run such as the q [i-2]_q of the block
+series), is multiplied by a term in two steps: its coefficient enters a
+difference array at the shifted start and leaves at the shifted stop, and
+one running sum per output slice turns that array into numerators.  A
+slice of r runs and p other terms times a slice of m terms so takes
+(2r + p) * m updates, however long the runs.
+
 Truncation is driven by t alone: `slices` has trunc + 1 entries, and terms
 of any q/z/w degree are kept.  That bounds the whole computation because
 in every series this package builds, z and w only ever enter in the
@@ -29,8 +44,10 @@ All arithmetic is exact; nothing here ever touches a float.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -209,33 +226,143 @@ def scale(s: TruncatedSeries, c) -> TruncatedSeries:
     return TruncatedSeries.from_slices(s.trunc, slices, s.den * c.denominator)
 
 
-def _mul_into(acc: Slice, x: Slice, y: Slice, c: int) -> None:
-    """acc += c * x * y, the slices read as polynomials in q, z, w."""
-    if len(x) > len(y):
-        x, y = y, x
-    get = acc.get
-    items = y.items()
-    for (q1, z1, w1), c1 in x.items():
+# The dense index of the module docstring; w needs no bound in the box,
+# being its outermost digit.
+
+_second = operator.itemgetter(1)
+
+
+def _top_qz(slices) -> tuple[int, int]:
+    """Top q and z degree over the given slices; (0, 0) if all are empty."""
+    monomials = list(itertools.chain.from_iterable(slices))
+    if not monomials:
+        return 0, 0
+    qs, zs, _ = zip(*monomials)
+    return max(qs), max(zs)
+
+
+def _indexed(slices: list[Slice], Q: int, QZ: int):
+    """The slices keyed by dense index, and for each n the top index among
+    the first n + 1 of them (-1 while all are empty)."""
+    X, tops, top = [], [], -1
+    for sl in slices:
+        if sl:
+            x = {eq + Q * ez + QZ * ew: c for (eq, ez, ew), c in sl.items()}
+            t = max(x)
+            if t > top:
+                top = t
+        else:
+            x = {}
+        X.append(x)
+        tops.append(top)
+    return X, tops
+
+
+def _distinct(slices: list[Slice]) -> int:
+    """Distinct coefficients of a series; the terms of a run share one."""
+    return len(set(itertools.chain.from_iterable(map(dict.values, slices))))
+
+
+def _split_runs(x: dict[int, int]):
+    """Single terms [(i, c)] and runs [(start, stop, c)] of an indexed slice.
+
+    A run is three or more consecutive indices start..stop-1 that share
+    one coefficient (two cost as many updates as two single terms), such
+    as the q exponents of q [j]_q at one z and w.  A slice with no
+    repeated coefficient, or one that is a single run, is settled without
+    a search; otherwise each term is looked up at most twice.
+    """
+    coefficients = set(x.values())
+    if len(coefficients) == len(x):
+        return x.items(), ()
+    if len(coefficients) == 1:
+        start, stop = min(x), max(x) + 1
+        if stop - start == len(x):
+            return (), [(start, stop, coefficients.pop())]
+    points, runs = [], []
+    get = x.get
+    for i, c in x.items():
+        if get(i - 1) != c:
+            j = i + 1
+            while get(j) == c:
+                j += 1
+            if j - i > 2:
+                runs.append((i, j, c))
+            else:
+                points.append((i, c))
+                if j - i == 2:
+                    points.append((i + 1, c))
+    return points, runs
+
+
+def _run_side(X: list[dict[int, int]], repeats: bool):
+    """X split by _split_runs, and whether any slice holds a run; X is
+    not searched when repeats says no coefficient repeats in it."""
+    if not repeats:
+        return [(x.items(), ()) for x in X], False
+    split = [_split_runs(x) for x in X]
+    return split, any(map(_second, split))
+
+
+def _mul_into(acc: list[int], diff: list[int] | None, x, y: dict[int, int], c: int) -> None:
+    """acc + running sum of diff  +=  c * x * y, x split by _split_runs.
+
+    A run times a term is a run again, shifted by the term's index: its
+    coefficient goes into diff at the shifted start and out at the
+    shifted stop.  The box keeps the stop inside diff.
+    """
+    points, runs = x
+    y = y.items()
+    for i1, c1 in points:
         c1 *= c
-        for (q2, z2, w2), c2 in items:
-            key = (q1 + q2, z1 + z2, w1 + w2)
-            acc[key] = get(key, 0) + c1 * c2
+        for i2, c2 in y:
+            acc[i1 + i2] += c1 * c2
+    for start, stop, c1 in runs:
+        c1 *= c
+        for i2, c2 in y:
+            v = c1 * c2
+            diff[start + i2] += v
+            diff[stop + i2] -= v
+
+
+def _numerators(acc: list[int], diff: list[int] | None):
+    """acc plus the running sum of diff; acc itself when there is no diff."""
+    return acc if diff is None else map(operator.add, acc, itertools.accumulate(diff))
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Product, truncated in t: C_n = sum_k binom(n, k) A_k B_(n-k)."""
+    """Product, truncated in t: C_n = sum_k binom(n, k) A_k B_(n-k).
+
+    The operand with fewer distinct coefficients per term goes on the run
+    side; if it holds no run after all, the one with fewer terms does.
+    binom(n, k) is symmetric, so the sides may swap.
+    """
     trunc = _same_trunc(a, b)
     A, B = a.slices, b.slices
-    support_a = [k for k, sl in enumerate(A) if sl]
+    na, nb = sum(map(len, A)), sum(map(len, B))
+    da, db = _distinct(A), _distinct(B)
+    if da * nb > db * na:
+        A, B, na, nb, da = B, A, nb, na, db
+    (qa, za), (qb, zb) = _top_qz(A), _top_qz(B)
+    Q, Z = qa + qb + 1, za + zb + 1
+    QZ = Q * Z
+    (X, tx), (Y, ty) = _indexed(A, Q, QZ), _indexed(B, Q, QZ)
+    RX, runs = _run_side(X, da < na)
+    if not runs and na > nb:
+        X, Y, tx, ty = Y, X, ty, tx
+        RX = [(x.items(), ()) for x in X]
+    support = [k for k, x in enumerate(X) if x]
     slices = []
-    for n in range(trunc + 1):
-        acc: Slice = {}
-        for k in support_a:
+    # C_n has no index above the top indices of A_0..A_n and B_0..B_n added
+    for n, top in enumerate(map(operator.add, tx, ty)):
+        acc, diff = [0] * (top + 1), [0] * (top + 2) if runs else None
+        for k in support:
             if k > n:
                 break
-            if B[n - k]:
-                _mul_into(acc, A[k], B[n - k], math.comb(n, k))
-        slices.append(acc)
+            if Y[n - k]:
+                _mul_into(acc, diff, RX[k], Y[n - k], math.comb(n, k))
+        slices.append({(i % Q, i // Q % Z, i // QZ): v
+                       for i, v in enumerate(_numerators(acc, diff)) if v})
     return TruncatedSeries.from_slices(trunc, slices, a.den * b.den)
 
 
@@ -252,7 +379,8 @@ def _recurrence(s: TruncatedSeries, weight) -> TruncatedSeries:
 
     With S_k = s_k / D, degree n of A carries D^n: its numerators obey
     a_n = sum weight(n, k) (s_k D^(k-1)) a_(n-k), and are brought to the
-    common denominator D^trunc at the end.
+    common denominator D^trunc at the end.  S sits on the run side, and
+    each A_n stays indexed until the end.
     """
     trunc, D = s.trunc, s.den
     S = s.slices
@@ -260,18 +388,35 @@ def _recurrence(s: TruncatedSeries, weight) -> TruncatedSeries:
         S = [{k: v * D ** (m - 1) for k, v in sl.items()} if m else sl
              for m, sl in enumerate(S)]
     support = [k for k, sl in enumerate(S) if sl]
-    A: list[Slice] = [{(0, 0, 0): 1}]
+    # A_n is a sum of products S_k1...S_kj with k1 + ... + kj = n <= trunc,
+    # so its degree is at most n * deg(S_k) / k for some k (the largest
+    # key of a slice has its top q, keys comparing q first)
+    Q = 1 + max([trunc * max(S[k])[0] // k for k in support], default=0)
+    Z = 1 + max([trunc * max(map(_second, S[k])) // k for k in support], default=0)
+    QZ = Q * Z
+    X, tx = _indexed(S, Q, QZ)
+    RX, runs = _run_side(X, _distinct(S) < sum(map(len, S)))
+    A: list[dict[int, int]] = [{0: 1}]
+    ta = 0  # top index of A_0..A_(n-1)
     for n in range(1, trunc + 1):
-        acc: Slice = {}
+        top = tx[n] + ta
+        acc, diff = [0] * (top + 1), [0] * (top + 2) if runs else None
         for k in support:
             if k > n:
                 break
             if A[n - k]:
-                _mul_into(acc, S[k], A[n - k], weight(n, k))
-        A.append(acc)
+                _mul_into(acc, diff, RX[k], A[n - k], weight(n, k))
+        a_n = dict(filter(_second, enumerate(_numerators(acc, diff))))
+        if a_n:  # keys ascend, so the last one is the top
+            last = next(reversed(a_n))
+            if last > ta:
+                ta = last
+        A.append(a_n)
+    slices = [{(i % Q, i // Q % Z, i // QZ): v for i, v in a_n.items()} for a_n in A]
     if D != 1:
-        A = [{k: v * D ** (trunc - n) for k, v in sl.items()} for n, sl in enumerate(A)]
-    return TruncatedSeries.from_slices(trunc, A, D ** trunc)
+        slices = [{k: v * D ** (trunc - n) for k, v in sl.items()}
+                  for n, sl in enumerate(slices)]
+    return TruncatedSeries.from_slices(trunc, slices, D ** trunc)
 
 
 def exp(s: TruncatedSeries) -> TruncatedSeries:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import wondermodels.cli as cli
+from wondermodels.polytopes import gamma_vector, h_vector
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +155,38 @@ def test_fvector_mismatch_exits_2(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "mismatch"
 
 
+@pytest.mark.parametrize("family, ns", [("A", range(2, 31)), ("B", range(1, 31)),
+                                         ("D", [3, *range(4, 31)])])
+def test_series_fvectors_keep_dehn_sommerville_and_gamma(family, ns):
+    for n in ns:
+        fvec = cli._fvector_series(family, n)
+        h = h_vector(fvec)
+        assert h == h[::-1], (family, n)
+        assert min(gamma_vector(h)) >= 0, (family, n)
+        cli._check_face_numbers(family, n, fvec)
+
+
+def test_series_fvector_face_numbers_hold_under_python_O():
+    # a series f-vector whose h-vector is not palindromic, or whose
+    # gamma-vector goes negative (the triangle), is an inconsistency (exit 2)
+    # even when asserts are stripped
+    code = """
+import wondermodels.cli as cli
+assert not __debug__
+for route, argv in (("fvector_typeA", ["--type", "A", "--n", "4"]),
+                    ("fvector_from_fcy", ["--type", "B", "--n", "3"]),
+                    ("fvector_from_fcy", ["--type", "D", "--n", "3"])):
+    for fvec in ([1, 2, 3], [1, 3, 3]):
+        setattr(cli, route, lambda *args, fvec=fvec: fvec)
+        print(cli.main(["fvector", "--method", "series", *argv]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"] * 6
+    assert proc.stderr.count("not palindromic with nonnegative gamma-vector") == 6
+
+
 def test_internal_inconsistency_exits_2(capsys, monkeypatch):
     def boom(variant, n):
         raise ArithmeticError("non-integer face count")
@@ -255,8 +288,12 @@ def test_series_dump_rejects_r_below_1(capsys, name):
 def test_series_dump_trunc_guard(capsys):
     code, _ = run_cli(capsys, "series-dump", "psi", "--trunc", "13")
     assert code == 3
-    code, _ = run_cli(capsys, "series-dump", "psi", "--trunc", "0")
-    assert code == 3
+
+
+@pytest.mark.parametrize("trunc", ["0", "-2"])
+def test_series_dump_trunc_below_one_is_a_bad_argument(capsys, trunc):
+    code, out = run_cli(capsys, "series-dump", "psi", "--trunc", trunc)
+    assert code == 4 and out == ""
 
 
 def test_series_dump_unknown_name_exits_4(capsys):

@@ -15,6 +15,7 @@ from wondermodels.formulas import (
     f_cy,
     f_typeA,
     fvector_from_fcy,
+    fvector_typeA,
     gamma_series,
     k_series,
     kirkman_cayley,
@@ -269,6 +270,13 @@ def test_fvector_B(n, expected):
 ])
 def test_fvector_D(n, expected):
     assert fvector_from_fcy("D", n) == expected
+
+
+def test_type_B_fvector_is_the_associahedron_of_one_more_point():
+    # the B_n polytope is the graph associahedron of the n-node path, which
+    # is the type A associahedron for n + 1 points: two distinct series
+    for n in range(1, 31):
+        assert fvector_from_fcy("B", n) == fvector_typeA(n + 1), n
 
 
 def test_fvector_domain_and_note():

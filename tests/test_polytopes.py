@@ -21,6 +21,8 @@ from wondermodels.polytopes import (
     enumerate_tubes,
     euler_cw,
     fvector_tubings,
+    gamma_vector,
+    h_vector,
 )
 
 
@@ -145,6 +147,22 @@ def test_tubes_of_path3():
 def test_tube_guard():
     with pytest.raises(GuardExceeded):
         enumerate_tubes(path(13))
+
+
+def test_h_and_gamma_vectors_of_small_polytopes():
+    # point, pentagon, square, triangle (not flag: gamma_1 < 0), 3-cube
+    assert h_vector([1]) == gamma_vector([1]) == [1]
+    assert h_vector([1, 5, 5]) == [1, 3, 1] and gamma_vector([1, 3, 1]) == [1, 1]
+    assert h_vector([1, 4, 4]) == [1, 2, 1] and gamma_vector([1, 2, 1]) == [1, 0]
+    assert h_vector([1, 3, 3]) == [1, 1, 1] and gamma_vector([1, 1, 1]) == [1, -1]
+    assert h_vector([1, 6, 12, 8]) == [1, 3, 3, 1] and gamma_vector([1, 3, 3, 1]) == [1, 0]
+
+
+def test_type_A_h_vectors_are_narayana_numbers():
+    for n in range(3, 16):
+        m = n - 1
+        narayana = [math.comb(m, k) * math.comb(m, k - 1) // m for k in range(1, m + 1)]
+        assert h_vector(fvector_typeA(n)) == narayana, n
 
 
 def test_fvector_singleton():

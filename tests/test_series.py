@@ -326,6 +326,82 @@ def test_shifts_and_eval_w_match_reference(s1, v):
     assert dict(eval_w(s, v).terms) == ref_eval_w(s.terms, v)
 
 
+@st.composite
+def run_series(draw, trunc):
+    """A series whose slices hold several long q-runs: consecutive q
+    exponents up to 8 at one (z, w), sharing one coefficient, which may be
+    negative and have a denominator up to 4."""
+    terms = {}
+    for et in draw(st.sets(st.integers(1, trunc), min_size=1, max_size=2)):
+        for _ in range(draw(st.integers(1, 3))):
+            ez, ew = draw(st.integers(0, et)), draw(st.integers(0, et))
+            start = draw(st.integers(0, 6))
+            stop = draw(st.integers(start + 2, 9))
+            num = draw(st.integers(-4, 4).filter(bool))
+            c = Fraction(num, draw(st.integers(1, 4)))
+            for eq in range(start, stop):
+                terms[eq, et, ez, ew] = c
+    return TruncatedSeries(trunc, terms)
+
+
+@st.composite
+def runs_and_small(draw):
+    """A run series and a small random series sharing a truncation order."""
+    trunc = draw(st.integers(1, 4))
+    return draw(run_series(trunc)), draw(small_series(trunc))
+
+
+@given(runs_and_small(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_reference_on_runs(ab, swap):
+    runs, small = ab
+    a, b = (small, runs) if swap else (runs, small)
+    assert dict(mul(a, b).terms) == ref_mul(a.trunc, a.terms, b.terms)
+    assert dict(mul(runs, runs).terms) == ref_mul(runs.trunc, runs.terms, runs.terms)
+
+
+@given(st.integers(1, 3).flatmap(run_series))
+@settings(max_examples=60, deadline=None)
+def test_exp_matches_reference_on_runs(s):
+    assert dict(exp(s).terms) == ref_exp(s.trunc, s.terms)
+
+
+@given(st.integers(1, 3).flatmap(run_series))
+@settings(max_examples=60, deadline=None)
+def test_invert_one_minus_matches_reference_on_runs(s):
+    assert dict(invert_one_minus(s).terms) == ref_invert_one_minus(s.trunc, s.terms)
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 2, 5])
+def test_exp_and_inverse_of_zero_are_one(trunc):
+    assert exp(T.zero(trunc)) == T.one(trunc)
+    assert invert_one_minus(T.zero(trunc)) == T.one(trunc)
+
+
+def test_products_at_truncation_zero_and_one():
+    c = T.monomial(0, Fraction(-2, 3), eq=2, ez=1)
+    assert mul(c, T.monomial(0, 3, eq=1)) == T.monomial(0, -2, eq=3, ez=1)
+    assert exp(T.zero(0)) == invert_one_minus(T.zero(0)) == T.one(0)
+    s = add(T.monomial(1, Fraction(1, 2), eq=3, et=1), T.monomial(1, 2, et=1, ew=1))
+    assert dict(exp(s).terms) == ref_exp(1, s.terms)
+    assert dict(invert_one_minus(s).terms) == ref_invert_one_minus(1, s.terms)
+    assert dict(mul(s, s).terms) == {}
+
+
+def test_run_ending_at_the_top_of_the_box():
+    # a run reaching the operand's top q, z and w degree, times the other
+    # operand's top term, ends on the last index of the product's box
+    run = T(3, {(eq, 1, 1, 1): Fraction(5) for eq in range(1, 5)})
+    top = T.monomial(3, Fraction(-7, 2), eq=3, et=1, ez=1, ew=1)
+    for a, b in ((run, top), (top, run), (run, add(top, run))):
+        assert dict(mul(a, b).terms) == ref_mul(3, a.terms, b.terms)
+    # exp and 1/(1-s) of a single q-run at t: the degree bound trunc * 3
+    # is met at t^trunc, so the last run lands on the top of the box
+    s = T(4, {(eq, 1, 0, 0): Fraction(-1, 3) for eq in range(4)})
+    assert dict(exp(s).terms) == ref_exp(4, s.terms)
+    assert dict(invert_one_minus(s).terms) == ref_invert_one_minus(4, s.terms)
+
+
 @given(series_tuple(2))
 @settings(max_examples=100, deadline=None)
 def test_exp_of_sum_is_product_of_exps(ab):
