@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("series", "bruteforce", "both"),
                    default="both")
-    p.add_argument("--trunc", type=int, default=None,
-                   help="series depth for r >= 2, default n+2")
     p.add_argument("--seed-guard", type=int, default=BUILDING_SET_GUARD,
                    help="building set size limit for enumeration")
     _format_flag(p)
@@ -163,15 +161,15 @@ def _emit(fmt: str, doc: dict, text: list[str], csv: list[tuple]) -> int:
     return EXIT_MISMATCH if doc.get("verdict") == "mismatch" else EXIT_OK
 
 
-def _poincare_series(g: GroupId, trunc: int) -> QPolynomial:
+def _poincare_series(g: GroupId) -> QPolynomial:
     """The series answer, checked against Poincare duality: palindromic
     of degree the complex dimension of the model."""
     if g.r == 1:
         poly = poincare_from_psi(g.n)
     elif g.p == g.r:
-        poly = poincare_from_phi(phi_rr(g.r, trunc), g.n)
+        poly = poincare_from_phi(phi_rr(g.r, g.n), g.n)
     else:
-        poly = poincare_from_phi(phi_full_monomial(g.r, trunc), g.n)
+        poly = poincare_from_phi(phi_full_monomial(g.r, g.n), g.n)
     # G(2,2,2) is the one reducible group (S_2 x S_2): its model is a point
     dim = 0 if (g.r, g.p, g.n) == (2, 2, 2) else g.n - 2 if g.r == 1 else g.n - 1
     if poly.degree() != dim or not poly.is_palindromic():
@@ -184,18 +182,12 @@ def run_poincare(args) -> int:
     g = GroupId(args.r, args.p, args.n)
     if args.seed_guard < 1:
         raise ValueError(f"--seed-guard must be at least 1, got {args.seed_guard}")
-    if g.r == 1 and args.trunc is not None:
-        raise ValueError("--trunc does not apply to r = 1: the psi series "
-                         "sets its own depth from n")
-    trunc = args.trunc if args.trunc is not None else g.n + 2
-    if trunc < g.n:
-        raise ValueError(f"--trunc {trunc} cannot reach t^{g.n}")
     note = None
     if 1 < g.p < g.r:
         note = f"Y_{{G({g.r},{g.p},{g.n})}} = Y_{{G({g.r},1,{g.n})}}"
     values = {}
     if args.method in ("series", "both"):
-        values["series"] = _poincare_series(g, trunc)
+        values["series"] = _poincare_series(g)
     if args.method in ("bruteforce", "both"):
         values["bruteforce"] = poincare_bruteforce(g, max_building=args.seed_guard)
     poly, verdict = _compare(values)

@@ -24,7 +24,7 @@ from .lattice import (
     BuildingElement,
     GroupId,
     GuardExceeded,
-    _universe,
+    _NestedUniverse,
     bits,
     building_set,
     contains,
@@ -117,7 +117,7 @@ def _admissible_supports(g: GroupId, weak_only: bool = False,
     if len(full) > max_building:
         raise GuardExceeded(
             f"building set of {g} has {len(full)} elements (guard {max_building})")
-    uni = _universe(g, tuple(sorted(
+    uni = _NestedUniverse(g, tuple(sorted(
         (e for e in full if e.dimension() >= 2 and not (weak_only and e.is_strong)),
         key=BuildingElement.dimension)))
 

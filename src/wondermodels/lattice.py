@@ -425,17 +425,11 @@ class _NestedUniverse:
         yield from dfs((1 << len(self.elems)) - 1, 0, 0)
 
 
-def _universe(g: GroupId, elems=None) -> _NestedUniverse:
-    if elems is None:
-        elems = building_set(g)
-    return _NestedUniverse(g, elems)
-
-
 def is_nested(s, g: GroupId) -> bool:
     """Nestedness of a set of building elements, by the universe's rule:
     the set is built up one element at a time in sorted order, the path
     on which nested_masks reaches it."""
-    uni = _universe(g, _check_membership(s, g))
+    uni = _NestedUniverse(g, _check_membership(s, g))
     mask = anti = 0
     for i in range(len(uni.elems)):
         if mask & ~uni.ok[i]:

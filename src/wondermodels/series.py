@@ -34,6 +34,12 @@ one running sum per output slice turns that array into numerators.  A
 slice of r runs and p other terms times a slice of m terms so takes
 (2r + p) * m updates, however long the runs.
 
+A product and a recurrence share one convolution loop, which splits one
+side into single terms and runs and takes the other side's terms as they
+are.  A recurrence puts S on the run side.  A product splits both
+operands and counts: the run side is the one whose updates (one per
+single term, two per run) times the other's term count is smaller.
+
 Truncation is driven by t alone: `slices` has trunc + 1 entries, and terms
 of any q/z/w degree are kept.  That bounds the whole computation because
 in every series this package builds, z and w only ever enter in the
@@ -242,127 +248,92 @@ def _top_qz(slices) -> tuple[int, int]:
 
 
 def _indexed(slices: list[Slice], Q: int, QZ: int):
-    """The slices keyed by dense index, and for each n the top index among
-    the first n + 1 of them (-1 while all are empty)."""
-    X, tops, top = [], [], -1
-    for sl in slices:
-        if sl:
-            x = {eq + Q * ez + QZ * ew: c for (eq, ez, ew), c in sl.items()}
-            t = max(x)
-            if t > top:
-                top = t
-        else:
-            x = {}
-        X.append(x)
-        tops.append(top)
-    return X, tops
-
-
-def _distinct(slices: list[Slice]) -> int:
-    """Distinct coefficients of a series; the terms of a run share one."""
-    return len(set(itertools.chain.from_iterable(map(dict.values, slices))))
-
-
-def _split_runs(x: dict[int, int]):
-    """Single terms [(i, c)] and runs [(start, stop, c)] of an indexed slice.
+    """An operand of _convolve: its slices keyed by dense index; for each
+    n the top index among the first n + 1 of them (-1 while all are
+    empty); and, for each nonempty slice k in ascending order, k with the
+    slice split into single terms [(i, c)] and runs [(start, stop, c)].
 
     A run is three or more consecutive indices start..stop-1 that share
     one coefficient (two cost as many updates as two single terms), such
-    as the q exponents of q [j]_q at one z and w.  A slice with no
-    repeated coefficient, or one that is a single run, is settled without
-    a search; otherwise each term is looked up at most twice.
+    as the q exponents of q [j]_q at one z and w.  Each term is looked up
+    at most twice.
     """
-    coefficients = set(x.values())
-    if len(coefficients) == len(x):
-        return x.items(), ()
-    if len(coefficients) == 1:
-        start, stop = min(x), max(x) + 1
-        if stop - start == len(x):
-            return (), [(start, stop, coefficients.pop())]
-    points, runs = [], []
-    get = x.get
-    for i, c in x.items():
-        if get(i - 1) != c:
-            j = i + 1
-            while get(j) == c:
-                j += 1
-            if j - i > 2:
-                runs.append((i, j, c))
-            else:
-                points.append((i, c))
-                if j - i == 2:
-                    points.append((i + 1, c))
-    return points, runs
+    X, tops, split, top = [], [], [], -1
+    for k, sl in enumerate(slices):
+        x = {eq + Q * ez + QZ * ew: c for (eq, ez, ew), c in sl.items()}
+        X.append(x)
+        if x:
+            top = max(top, max(x))
+            points, runs = [], []
+            get = x.get
+            for i, c in x.items():
+                if get(i - 1) != c:
+                    j = i + 1
+                    while get(j) == c:
+                        j += 1
+                    if j - i > 2:
+                        runs.append((i, j, c))
+                    else:
+                        points += [(m, c) for m in range(i, j)]
+            split.append((k, points, runs))
+        tops.append(top)
+    return X, tops, split
 
 
-def _run_side(X: list[dict[int, int]], repeats: bool):
-    """X split by _split_runs, and whether any slice holds a run; X is
-    not searched when repeats says no coefficient repeats in it."""
-    if not repeats:
-        return [(x.items(), ()) for x in X], False
-    split = [_split_runs(x) for x in X]
-    return split, any(map(_second, split))
+def _convolve(X, Y: list[dict[int, int]], n: int, weight, top: int):
+    """Numerators at dense indices 0..top of sum_k weight(n, k) X_k Y_(n-k).
 
-
-def _mul_into(acc: list[int], diff: list[int] | None, x, y: dict[int, int], c: int) -> None:
-    """acc + running sum of diff  +=  c * x * y, x split by _split_runs.
-
-    A run times a term is a run again, shifted by the term's index: its
-    coefficient goes into diff at the shifted start and out at the
-    shifted stop.  The box keeps the stop inside diff.
+    X is split as by _indexed.  A run times a term is a run again,
+    shifted by the term's index: its coefficient goes into a difference
+    array at the shifted start and out at the shifted stop, and the array
+    is made when the first run is met.  The box keeps every stop within
+    its top + 2 entries.
     """
-    points, runs = x
-    y = y.items()
-    for i1, c1 in points:
-        c1 *= c
-        for i2, c2 in y:
-            acc[i1 + i2] += c1 * c2
-    for start, stop, c1 in runs:
-        c1 *= c
-        for i2, c2 in y:
-            v = c1 * c2
-            diff[start + i2] += v
-            diff[stop + i2] -= v
-
-
-def _numerators(acc: list[int], diff: list[int] | None):
-    """acc plus the running sum of diff; acc itself when there is no diff."""
+    acc, diff = [0] * (top + 1), None
+    for k, points, runs in X:
+        if k > n:
+            break
+        y = Y[n - k]
+        if not y:
+            continue
+        c = weight(n, k)
+        y = y.items()
+        for i1, c1 in points:
+            c1 *= c
+            for i2, c2 in y:
+                acc[i1 + i2] += c1 * c2
+        if runs and diff is None:
+            diff = [0] * (top + 2)
+        for start, stop, c1 in runs:
+            c1 *= c
+            for i2, c2 in y:
+                v = c1 * c2
+                diff[start + i2] += v
+                diff[stop + i2] -= v
     return acc if diff is None else map(operator.add, acc, itertools.accumulate(diff))
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Product, truncated in t: C_n = sum_k binom(n, k) A_k B_(n-k).
 
-    The operand with fewer distinct coefficients per term goes on the run
-    side; if it holds no run after all, the one with fewer terms does.
+    Both operands are split into single terms and runs, and the run side
+    is the one whose updates times the other's term count is smaller;
     binom(n, k) is symmetric, so the sides may swap.
     """
     trunc = _same_trunc(a, b)
-    A, B = a.slices, b.slices
-    na, nb = sum(map(len, A)), sum(map(len, B))
-    da, db = _distinct(A), _distinct(B)
-    if da * nb > db * na:
-        A, B, na, nb, da = B, A, nb, na, db
-    (qa, za), (qb, zb) = _top_qz(A), _top_qz(B)
+    (qa, za), (qb, zb) = _top_qz(a.slices), _top_qz(b.slices)
     Q, Z = qa + qb + 1, za + zb + 1
     QZ = Q * Z
-    (X, tx), (Y, ty) = _indexed(A, Q, QZ), _indexed(B, Q, QZ)
-    RX, runs = _run_side(X, da < na)
-    if not runs and na > nb:
-        X, Y, tx, ty = Y, X, ty, tx
-        RX = [(x.items(), ()) for x in X]
-    support = [k for k, x in enumerate(X) if x]
+    (A, ta, RA), (B, tb, RB) = _indexed(a.slices, Q, QZ), _indexed(b.slices, Q, QZ)
+    # updates per term of the other side: one per single term, two per run
+    ua, ub = (sum(len(p) + 2 * len(r) for _, p, r in R) for R in (RA, RB))
+    na, nb = sum(map(len, A)), sum(map(len, B))
+    X, Y = (RA, B) if ua * nb <= ub * na else (RB, A)
     slices = []
     # C_n has no index above the top indices of A_0..A_n and B_0..B_n added
-    for n, top in enumerate(map(operator.add, tx, ty)):
-        acc, diff = [0] * (top + 1), [0] * (top + 2) if runs else None
-        for k in support:
-            if k > n:
-                break
-            if Y[n - k]:
-                _mul_into(acc, diff, RX[k], Y[n - k], math.comb(n, k))
+    for n, top in enumerate(map(operator.add, ta, tb)):
         slices.append({(i % Q, i // Q % Z, i // QZ): v
-                       for i, v in enumerate(_numerators(acc, diff)) if v})
+                       for i, v in enumerate(_convolve(X, Y, n, math.comb, top)) if v})
     return TruncatedSeries.from_slices(trunc, slices, a.den * b.den)
 
 
@@ -394,19 +365,11 @@ def _recurrence(s: TruncatedSeries, weight) -> TruncatedSeries:
     Q = 1 + max([trunc * max(S[k])[0] // k for k in support], default=0)
     Z = 1 + max([trunc * max(map(_second, S[k])) // k for k in support], default=0)
     QZ = Q * Z
-    X, tx = _indexed(S, Q, QZ)
-    RX, runs = _run_side(X, _distinct(S) < sum(map(len, S)))
+    _, tx, X = _indexed(S, Q, QZ)
     A: list[dict[int, int]] = [{0: 1}]
     ta = 0  # top index of A_0..A_(n-1)
     for n in range(1, trunc + 1):
-        top = tx[n] + ta
-        acc, diff = [0] * (top + 1), [0] * (top + 2) if runs else None
-        for k in support:
-            if k > n:
-                break
-            if A[n - k]:
-                _mul_into(acc, diff, RX[k], A[n - k], weight(n, k))
-        a_n = dict(filter(_second, enumerate(_numerators(acc, diff))))
+        a_n = dict(filter(_second, enumerate(_convolve(X, A, n, weight, tx[n] + ta))))
         if a_n:  # keys ascend, so the last one is the top
             last = next(reversed(a_n))
             if last > ta:

@@ -80,20 +80,6 @@ def test_poincare_bad_group(capsys):
     assert code == 4
 
 
-def test_poincare_trunc_too_small(capsys):
-    code, _ = run_cli(capsys, "poincare", "--r", "2", "--p", "1", "--n", "4",
-                      "--trunc", "2")
-    assert code == 4
-
-
-def test_poincare_trunc_rejected_for_r1(capsys):
-    code = cli.main(["poincare", "--r", "1", "--n", "4", "--method", "series",
-                     "--trunc", "9"])
-    captured = capsys.readouterr()
-    assert code == 4 and captured.out == ""
-    assert "--trunc does not apply to r = 1" in captured.err
-
-
 def test_poincare_missing_n_exits_4(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["poincare", "--r", "2", "--p", "1"])
@@ -319,6 +305,8 @@ def test_byte_stability(capsys):
     ["fvector", "--type", "B", "--n", "3", "--seed-guard", "5"],
     ["euler", "--type", "B", "--n", "3", "--seed-guard", "5"],
     ["selftest", "--format", "csv"],
+    ["poincare", "--n", "4", "--trunc", "9"],
+    ["poincare", "--r", "2", "--n", "4", "--trunc", "2"],
 ])
 def test_options_that_do_not_apply_exit_4(argv):
     with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,8 @@ from wondermodels.lattice import (
     BuildingElement,
     GroupId,
     GuardExceeded,
-    _universe,
+    _NestedUniverse,
+    building_set,
     contains,
     d_value,
 )
@@ -171,7 +172,8 @@ def test_weak_only_is_a_restriction():
     (3, 3, 3, 116),
 ])
 def test_count_nested_sets(r, p, n, count):
-    assert sum(1 for _ in _universe(GroupId(r, p, n)).nested_masks()) == count
+    g = GroupId(r, p, n)
+    assert sum(1 for _ in _NestedUniverse(g, building_set(g)).nested_masks()) == count
 
 
 VETO_GROUPS = sorted({(r, p, n) for r in (1, 2, 3) for p in (1, r)
@@ -187,7 +189,7 @@ def test_admissible_supports_are_the_nested_sets_with_d_at_least_2(rpn, weak_onl
     # whose members all have d >= 2 by lattice.d_value
     g = GroupId(*rpn)
     want = {}
-    full = _universe(g)
+    full = _NestedUniverse(g, building_set(g))
     for mask in full.nested_masks():
         members = [e for i, e in enumerate(full.elems) if mask >> i & 1]
         if weak_only and any(e.is_strong for e in members):

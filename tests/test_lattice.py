@@ -11,8 +11,8 @@ from wondermodels.lattice import (
     GuardExceeded,
     LatticeElement,
     Variant,
+    _NestedUniverse,
     _normalize_block,
-    _universe,
     building_set,
     comparable,
     contains,
@@ -30,7 +30,7 @@ S = BuildingElement.strong
 
 def nested_sets(g):
     """Every nested subset of the building set of g, as an element tuple."""
-    uni = _universe(g)
+    uni = _NestedUniverse(g, building_set(g))
     for mask in uni.nested_masks():
         yield tuple(e for i, e in enumerate(uni.elems) if mask >> i & 1)
 
@@ -265,7 +265,7 @@ def test_d_values_from_maximal_members_match_the_join(rpn):
     # the enumeration route sums the dimensions of the maximal members
     # inside each element; d_value joins all of them in the lattice
     g = GroupId(*rpn)
-    uni = _universe(g)
+    uni = _NestedUniverse(g, building_set(g))
     for mask in uni.nested_masks():
         members = [i for i in range(len(uni.elems)) if mask >> i & 1]
         for i in members:
@@ -403,6 +403,6 @@ def test_universe_matches_pairwise_reference(rpn):
     # brute-force Poincare route
     g = GroupId(*rpn)
     admissible, _, _ = next(_admissible_supports(g))
-    for uni in (_universe(g), admissible):
+    for uni in (_NestedUniverse(g, building_set(g)), admissible):
         got = (uni.ok, uni.below, uni.covers_anti, uni.partner)
         assert got == universe_by_pairs(g, uni.elems), (rpn, len(uni.elems))

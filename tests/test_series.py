@@ -360,6 +360,35 @@ def test_mul_matches_reference_on_runs(ab, swap):
     assert dict(mul(runs, runs).terms) == ref_mul(runs.trunc, runs.terms, runs.terms)
 
 
+@st.composite
+def two_run_series(draw):
+    """Two independent run series sharing a truncation order, so both
+    operands of a product hold runs, of different shapes."""
+    trunc = draw(st.integers(1, 4))
+    return draw(run_series(trunc)), draw(run_series(trunc))
+
+
+@given(two_run_series())
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_reference_with_runs_on_both_sides(ab):
+    # either operand may win the run side; both orders must agree with
+    # the reference
+    a, b = ab
+    want = ref_mul(a.trunc, a.terms, b.terms)
+    assert dict(mul(a, b).terms) == want
+    assert dict(mul(b, a).terms) == want
+
+
+def test_mul_without_runs_ties_the_side_count():
+    # with no run on either side, updates times the other's term count is
+    # the same both ways; the product must not depend on who wins the tie
+    a = T(3, {(0, 1, 0, 0): Fraction(2), (2, 1, 1, 0): Fraction(-1, 3)})
+    b = T(3, {(1, 0, 0, 0): Fraction(5), (0, 1, 0, 1): Fraction(1, 2),
+              (3, 2, 1, 1): Fraction(-4), (1, 2, 0, 0): Fraction(7)})
+    want = ref_mul(3, a.terms, b.terms)
+    assert dict(mul(a, b).terms) == dict(mul(b, a).terms) == want
+
+
 @given(st.integers(1, 3).flatmap(run_series))
 @settings(max_examples=60, deadline=None)
 def test_exp_matches_reference_on_runs(s):

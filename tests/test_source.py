@@ -1,6 +1,7 @@
 """Checks on the library's source text rather than its behaviour."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import wondermodels
@@ -39,4 +40,31 @@ def test_no_unused_imports_in_the_library():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
+    assert found == []
+
+
+def _references(tree):
+    """Names a tree refers to: as a Name, an Attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_orphaned_private_helpers_in_the_library():
+    # a private helper that nothing else in the library refers to, such
+    # as one a refactor has left behind, is dead code; tests do not count
+    trees = list(_trees())
+    refs = Counter(name for _, tree in trees for name in _references(tree))
+    found = []
+    for path, tree in trees:
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                own = sum(name == node.name for name in _references(node))
+                if refs[node.name] == own:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
