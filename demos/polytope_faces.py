@@ -50,33 +50,30 @@ def main():
 
     print()
     print("Type B and D chambers (series vs tubings):")
-    for family, ns in (("B", range(1, 6)), ("D", (4, 5))):
+    for family, ns in (("B", range(1, 6)), ("D", range(3, 6))):
         for n in ns:
             fv = fvector_from_fcy(family, n)
             assert fv == fvector_tubings(dynkin_graph(family, n))
             print(f"    {family} n={n}:  {fv}")
-    d3 = fvector_from_fcy("D", 3)
-    print(f"    D n=3:  {d3}  (reducible: the 4-point type A pentagon again)")
-    assert d3 == fvector_typeA(4)
+    print("    (D n=3 is reducible: its graph 2-1-3 is the path of the 4-point")
+    print("    type A model, so its chamber is the pentagon again)")
+    assert fvector_from_fcy("D", 3) == fvector_typeA(4)
 
     print()
     print("Euler characteristics.  Series route vs counting cells of the")
     print("CW structure (each codimension-j cell is shared by 2^j chambers):")
-    for n in range(2, 7):
+    for n in range(2, 8):
         chi = euler_from_x(n)
         assert chi == euler_cw("A", n)
         note = "  (odd-dimensional closed manifold)" if n % 2 and chi == 0 else ""
         print(f"    A n={n}:  {chi}{note}")
-    for n in (7, 8):
-        print(f"    A n={n}:  {euler_from_x(n)}  (series only)")
-    for family, ns in (("B", range(1, 6)), ("D", (4, 5))):
+    print(f"    A n=8:  {euler_from_x(8)}  (series only)")
+    for family, ns in (("B", range(1, 6)), ("D", range(3, 6))):
         for n in ns:
             chi = euler_from_bd(family, n)
             assert chi == euler_cw(family, n)
             print(f"    {family} n={n}:  {chi}")
-    chi = euler_from_bd("D", 3)
-    print(f"    D n=3:  {chi}  (equals the type A count "
-          f"{euler_cw('A', 4)} on 4 points)")
+    print(f"    (D n=3 equals the type A count {euler_cw('A', 4)} on 4 points)")
 
 
 if __name__ == "__main__":

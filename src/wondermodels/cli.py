@@ -41,7 +41,7 @@ from .formulas import (
     tilde_big_gamma,
     x_typeA,
 )
-from .lattice import GroupId, GuardExceeded
+from .lattice import GroupId, GuardExceeded, Variant
 from .polytopes import (
     EULER_CW_RANGE,
     dynkin_graph,
@@ -164,14 +164,14 @@ def _emit(fmt: str, doc: dict, text: list[str], csv: list[tuple]) -> int:
 def _poincare_series(g: GroupId) -> QPolynomial:
     """The series answer, checked against Poincare duality: palindromic
     of degree the complex dimension of the model."""
-    if g.r == 1:
-        poly = poincare_from_psi(g.n)
-    elif g.p == g.r:
-        poly = poincare_from_phi(phi_rr(g.r, g.n), g.n)
+    if g.variant is Variant.TYPE_A:
+        poly, dim = poincare_from_psi(g.n), g.n - 2
     else:
-        poly = poincare_from_phi(phi_full_monomial(g.r, g.n), g.n)
-    # G(2,2,2) is the one reducible group (S_2 x S_2): its model is a point
-    dim = 0 if (g.r, g.p, g.n) == (2, 2, 2) else g.n - 2 if g.r == 1 else g.n - 1
+        phi = phi_rr if g.variant is Variant.RR else phi_full_monomial
+        poly, dim = poincare_from_phi(phi(g.r, g.n), g.n), g.n - 1
+    if (g.r, g.p, g.n) == (2, 2, 2):
+        # the one reducible group (S_2 x S_2): its model is a point
+        dim = 0
     if poly.degree() != dim or not poly.is_palindromic():
         raise ArithmeticError(f"series Poincare polynomial {poly} of {g} is not "
                               f"palindromic of degree {dim}")
@@ -218,13 +218,6 @@ def _check_face_numbers(family: str, n: int, fvec: list[int]) -> None:
                               "not palindromic with nonnegative gamma-vector")
 
 
-def _fvector_tubings(family: str, n: int) -> list[int]:
-    if family == "D" and n == 3:
-        # reducible case: same polytope as the 4-point type A model
-        return fvector_tubings(dynkin_graph("A", 4))
-    return fvector_tubings(dynkin_graph(family, n))
-
-
 def run_fvector(args) -> int:
     family, n = args.family, args.n
     note = D3_DEGENERATE_NOTE if family == "D" and n == 3 else None
@@ -232,7 +225,7 @@ def run_fvector(args) -> int:
     if args.method in ("series", "both"):
         values["series"] = _fvector_series(family, n)
     if args.method in ("tubings", "both"):
-        values["tubings"] = _fvector_tubings(family, n)
+        values["tubings"] = fvector_tubings(dynkin_graph(family, n))
     fvec, verdict = _compare(values)
     if "series" in values and verdict != "mismatch":
         # a mismatch is already exit 2, and prints both answers
@@ -248,15 +241,11 @@ def run_fvector(args) -> int:
 
 def run_euler(args) -> int:
     family, n = args.family, args.n
-    note = None
+    note = D3_DEGENERATE_NOTE if family == "D" and n == 3 else None
     values = {"series": euler_from_x(n) if family == "A" else euler_from_bd(family, n)}
-    if family == "D" and n == 3:
-        values["cells"] = euler_cw("A", 4)
-        note = D3_DEGENERATE_NOTE
-    else:
-        lo, hi = EULER_CW_RANGE[family]
-        if lo <= n <= hi:
-            values["cells"] = euler_cw(family, n)
+    lo, hi = EULER_CW_RANGE[family]
+    if lo <= n <= hi:
+        values["cells"] = euler_cw(family, n)
     value, verdict = _compare(values)
     oracle = values.get("cells")
     text = f"{family} n={n}: euler characteristic {value}"

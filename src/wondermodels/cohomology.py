@@ -150,15 +150,14 @@ def poincare_bruteforce(g: GroupId,
     return total
 
 
-def enumerate_admissible(g: GroupId, weak_only: bool = False,
-                         max_building: int = BUILDING_SET_GUARD):
+def enumerate_admissible(g: GroupId, weak_only: bool = False):
     """Yield every admissible function, the zero function first.
 
     weak_only restricts supports to weighted blocks (the domain of the
     partition bijection); d-values of all-weak sets do not involve strong
     elements, so the restriction is sound.
     """
-    for uni, _, ds in _admissible_supports(g, weak_only, max_building):
+    for uni, _, ds in _admissible_supports(g, weak_only):
         elems = [uni.elems[i] for i, _ in ds]
         ranges = [range(1, d) for _, d in ds]
         for choice in itertools.product(*ranges):
@@ -199,11 +198,6 @@ class WeightedPartition:
     def __post_init__(self):
         object.__setattr__(self, "parts",
                            tuple(sorted(self.parts, key=lambda p: p.members)))
-
-    def to_obj(self) -> dict:
-        return {"ground_size": self.ground_size,
-                "parts": [{"members": list(p.members), "weights": list(p.weights),
-                           "exponent": p.exponent} for p in self.parts]}
 
     def text(self) -> str:
         return " ".join(p.text() for p in self.parts) if self.parts else "{}"

@@ -59,13 +59,16 @@ class Graph:
 def dynkin_graph(family: str, n: int) -> Graph:
     """Dynkin diagrams as plain graphs.
 
-    A_n (n >= 3) gives the path on n-1 nodes (the associahedron graph for
-    n points); B_n (n >= 1) the path on n nodes; D_n (n >= 4) the path on
-    n-2 nodes with two extra nodes forked off its last vertex.
+    A_n (n >= 2) gives the path on n-1 nodes (the associahedron graph for
+    n points; A_2 is one node, as is B_1); B_n (n >= 1) the path on n
+    nodes; D_n (n >= 3) the path on n-2 nodes with two extra nodes forked
+    off its last vertex.  At n = 3 that is the path 2-1-3, the diagram
+    D_3 = A_3: the same graph as dynkin_graph("A", 4), since type A counts
+    points, not nodes.  It is the one reducible coincidence of the three.
     """
     if family == "A":
-        if n < 3:
-            raise ValueError("type A needs n >= 3")
+        if n < 2:
+            raise ValueError("type A needs n >= 2")
         m = n - 1
         return Graph.from_edges(range(1, m + 1), [(i, i + 1) for i in range(1, m)])
     if family == "B":
@@ -73,8 +76,8 @@ def dynkin_graph(family: str, n: int) -> Graph:
             raise ValueError("type B needs n >= 1")
         return Graph.from_edges(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
     if family == "D":
-        if n < 4:
-            raise ValueError("type D needs n >= 4")
+        if n < 3:
+            raise ValueError("type D needs n >= 3")
         edges = [(i, i + 1) for i in range(1, n - 2)]
         edges += [(n - 2, n - 1), (n - 2, n)]
         return Graph.from_edges(range(1, n + 1), edges)
@@ -206,7 +209,7 @@ def count_plane_trees(n: int, s: int) -> int:
     return count(n + s - 1, s)
 
 
-EULER_CW_RANGE = {"A": (2, 7), "B": (1, 5), "D": (4, 5)}
+EULER_CW_RANGE = {"A": (2, 7), "B": (1, TUBE_NODE_GUARD), "D": (3, TUBE_NODE_GUARD)}
 
 
 def euler_cw(family: str, n: int) -> int:

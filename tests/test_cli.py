@@ -112,10 +112,17 @@ def test_fvector_a_series(capsys):
     assert json.loads(out)["fvector"] == [1]
 
 
-def test_fvector_a2_has_no_tubing_graph(capsys):
-    code, _ = run_cli(capsys, "fvector", "--type", "A", "--n", "2",
-                      "--method", "tubings")
-    assert code == 4
+def test_fvector_a2_tubings_match_the_series(capsys):
+    # A_2 is the one-node path, a point: one face, like B_1
+    code, out = run_cli(capsys, "fvector", "--type", "A", "--n", "2",
+                        "--method", "tubings")
+    assert code == 0
+    assert json.loads(out)["fvector"] == [1]
+    code, out = run_cli(capsys, "fvector", "--type", "A", "--n", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["fvector"] == [1]
+    assert doc["verdict"] == "match"
 
 
 def test_fvector_d3_reducible(capsys):
@@ -218,11 +225,12 @@ def test_euler_a3(capsys):
 
 
 def test_euler_without_oracle(capsys):
-    # the cell-count route stops at n = 5 for type B; value only, no verdict
-    code, out = run_cli(capsys, "euler", "--type", "B", "--n", "6")
+    # the cell-count route stops at the tubing guard, n = 12 for type B;
+    # value only, no verdict
+    code, out = run_cli(capsys, "euler", "--type", "B", "--n", "13")
     assert code == 0
     doc = json.loads(out)
-    assert doc == {"type": "B", "n": 6, "euler": 0}
+    assert doc == {"type": "B", "n": 13, "euler": 821966745600}
 
 
 def test_euler_d3_uses_reducibility(capsys):

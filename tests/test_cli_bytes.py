@@ -3,9 +3,10 @@
 tests/data/cli_bytes.json holds the sha256 of the stdout and the exit code
 of every command in GRID below, in each of the json, csv and text formats.
 The grid covers every --method, the G(4,2,3) note, the reducible D n=3
-case of both `fvector` and `euler`, and `euler --type A --n 9`, which lies
-beyond the cell-count oracle.  Any change to what these verbs print fails
-here.  To refreeze after an intended change to the output:
+case of both `fvector` and `euler`, the one-node A n=2 tubing graph, the
+cell-count oracle at B n=6 and D n=4, and `euler --type A --n 9` and
+`euler --type B --n 13`, which lie beyond it.  Any change to what these
+verbs print fails here.  To refreeze after an intended change to the output:
 
     PYTHONPATH=src python3 tests/test_cli_bytes.py > tests/data/cli_bytes.json
 """
@@ -31,7 +32,8 @@ GRID = tuple(
        for t, n in (("A", 2), ("A", 4), ("B", 3), ("D", 3), ("D", 4))
        for m in ("series", "tubings", "both")]
     + [f"euler --type {t} --n {n}"
-       for t, n in (("A", 3), ("A", 9), ("B", 3), ("B", 6), ("D", 3))]
+       for t, n in (("A", 3), ("A", 9), ("B", 3), ("B", 6), ("B", 13), ("D", 3),
+                    ("D", 4))]
 )
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wondermodels.formulas import fvector_from_fcy, fvector_typeA
+from wondermodels.formulas import euler_from_bd, euler_from_x, fvector_from_fcy, fvector_typeA
 from wondermodels.lattice import GuardExceeded
 from wondermodels.polytopes import (
     EULER_CW_RANGE,
@@ -128,11 +128,23 @@ def test_dynkin_shapes():
     d = dynkin_graph("D", 4)
     assert d.neighbors(2) == {1, 3, 4}
     with pytest.raises(ValueError):
-        dynkin_graph("A", 2)
+        dynkin_graph("A", 1)
     with pytest.raises(ValueError):
-        dynkin_graph("D", 3)
+        dynkin_graph("D", 2)
     with pytest.raises(ValueError):
         dynkin_graph("E", 6)
+
+
+def test_small_members_follow_the_general_rule():
+    # A_2 is one node, like B_1; D_3 forks two nodes off a one-node path,
+    # the path 2-1-3, which is the diagram A_3 = D_3 of the 4-point type A
+    assert dynkin_graph("A", 2) == dynkin_graph("B", 1)
+    assert fvector_tubings(dynkin_graph("A", 2)) == [1]
+    d3 = dynkin_graph("D", 3)
+    assert d3.neighbors(1) == {2, 3}
+    assert len(d3.edges) == 2
+    assert fvector_tubings(d3) == fvector_tubings(dynkin_graph("A", 4)) == [1, 5, 5]
+    assert euler_cw("D", 3) == euler_cw("A", 4) == -3
 
 
 def test_tubes_of_path3():
@@ -197,9 +209,9 @@ def test_fvector_typeB_matches_path():
 
 
 @pytest.mark.parametrize("family,n", [
-    *(("A", n) for n in range(3, 11)),
+    *(("A", n) for n in range(2, 11)),
     *(("B", n) for n in range(1, 10)),
-    *(("D", n) for n in range(4, 10)),
+    *(("D", n) for n in range(3, 10)),
 ])
 def test_fvector_matches_per_face_walk_on_dynkin_graphs(family, n):
     g = dynkin_graph(family, n)
@@ -306,6 +318,17 @@ def test_euler_cw_range():
             euler_cw(fam, hi + 1)
     with pytest.raises(ValueError):
         euler_cw("E", 6)
+
+
+@pytest.mark.parametrize("family,n", [(fam, n) for fam, (lo, hi) in EULER_CW_RANGE.items()
+                                      for n in range(lo, hi + 1)])
+def test_euler_cw_matches_the_series_over_its_range(family, n):
+    series = euler_from_x(n) if family == "A" else euler_from_bd(family, n)
+    assert euler_cw(family, n) == series
+
+
+def test_euler_cw_reaches_the_tubing_guard():
+    assert EULER_CW_RANGE["B"][1] == EULER_CW_RANGE["D"][1] == TUBE_NODE_GUARD
 
 
 def test_fvector_invariants_hold_under_python_O():
