@@ -16,6 +16,7 @@ sorted, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -86,7 +87,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BADARGS, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it as it was."""
     parser = _Parser(prog="wondermodels", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 

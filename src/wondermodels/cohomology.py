@@ -26,6 +26,7 @@ from .lattice import (
     GuardExceeded,
     _NestedUniverse,
     bits,
+    building_elements,
     building_set,
     contains,
     d_value,
@@ -112,22 +113,33 @@ def _admissible_supports(g: GroupId, weak_only: bool = False,
     It lists the rest inside first (by dimension, stable over the
     building set's order), so no member joins a set after a member that
     contains it: each member's d-value is final as soon as it joins.
+    So the veto computes it once, when the member joins, and the d-list
+    reads it back: nested_masks yields each set right after the veto
+    passed its newest member, and a member's stored value is only
+    rewritten on another branch, after every set through this one.
+
+    The guard is checked first, by counting at most max_building + 1
+    building elements, so a group beyond it is refused before its
+    building set is built.
     """
-    full = building_set(g)
-    if len(full) > max_building:
+    if sum(1 for _ in itertools.islice(building_elements(g), max_building + 1)) \
+            > max_building:
         raise GuardExceeded(
-            f"building set of {g} has {len(full)} elements (guard {max_building})")
+            f"building set of {g} has more than {max_building} elements")
     uni = _NestedUniverse(g, tuple(sorted(
-        (e for e in full if e.dimension() >= 2 and not (weak_only and e.is_strong)),
+        (e for e in building_set(g)
+         if e.dimension() >= 2 and not (weak_only and e.is_strong)),
         key=BuildingElement.dimension)))
+    dvals = [0] * len(uni.elems)
 
     def veto(i: int, newmask: int) -> bool:
         # every earlier member passed this test and its d-value is final;
         # a newcomer at d <= 1 stays there in every extension
-        return _d_value(uni, i, newmask) <= 1
+        dvals[i] = _d_value(uni, i, newmask)
+        return dvals[i] <= 1
 
     for mask in uni.nested_masks(veto):
-        yield uni, mask, [(i, _d_value(uni, i, mask)) for i in bits(mask)]
+        yield uni, mask, [(i, dvals[i]) for i in bits(mask)]
 
 
 def poincare_bruteforce(g: GroupId,

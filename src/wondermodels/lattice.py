@@ -230,19 +230,24 @@ def in_building(e: LatticeElement, g: GroupId) -> bool:
     return len(e.zeros) >= g.min_zero_set
 
 
-@functools.lru_cache(maxsize=None)
-def building_set(g: GroupId) -> tuple[BuildingElement, ...]:
-    """All irreducible subspaces for g, sorted (strongs first, then by support)."""
+def building_elements(g: GroupId):
+    """The irreducible subspaces for g, one at a time and unsorted: the
+    membership rule of the building set, which a caller may stop early
+    to bound the set's size without building it."""
     n, r = g.n, g.r
-    out: list[BuildingElement] = []
     for size in range(g.min_zero_set, n + 1):
         for coords in itertools.combinations(range(1, n + 1), size):
-            out.append(BuildingElement.strong(coords, r))
+            yield BuildingElement.strong(coords, r)
     for size in range(2, n + 1):
         for coords in itertools.combinations(range(1, n + 1), size):
             for tail in itertools.product(range(r), repeat=size - 1):
-                out.append(BuildingElement.weak(coords, (0,) + tail, r))
-    return tuple(sorted(out))
+                yield BuildingElement.weak(coords, (0,) + tail, r)
+
+
+@functools.lru_cache(maxsize=None)
+def building_set(g: GroupId) -> tuple[BuildingElement, ...]:
+    """All irreducible subspaces for g, sorted (strongs first, then by support)."""
+    return tuple(sorted(building_elements(g)))
 
 
 def contains(outer: BuildingElement, inner: BuildingElement) -> bool:
@@ -317,9 +322,18 @@ class _NestedUniverse:
     _antiparallel_rule).  Pairwise bitmasks, built once, drive both the
     candidate-set walk of nested_masks and is_nested.
 
-    The build asks contains only where one support bitmask lies inside
-    the other, and decides every incomparable pair by the join of two
-    lattice views made once per element.
+    The build decides every incomparable pair by the join of two lattice
+    views made once per element, and skips the calls whose outcome two
+    lattice facts already fix:
+      - strict containment raises the rank, and needs the inner support
+        inside the outer one, so contains(a, b) is asked only when
+        dim b < dim a and supp b lies in supp a (and the reverse likewise);
+        two distinct elements of one dimension are never comparable;
+      - a join lives on the union of the two supports, so its dimension
+        is at most |supp a | supp b|; when dim a + dim b exceeds that, the
+        join cannot be a direct sum and the pair is not nested.
+    Both skips are exact: every pair the screens leave is decided as
+    before, and the tables come out bit for bit the same.
     """
 
     def __init__(self, g: GroupId, elems: tuple[BuildingElement, ...]):
@@ -329,25 +343,24 @@ class _NestedUniverse:
         self.dims = dims = [e.dimension() for e in elems]
         self.ok = ok = [0] * nb          # bit j: the pair {i,j} is nested
         self.below = below = [0] * nb    # bit j: elems[j] strictly inside elems[i]
-        # containment needs the inner support inside the outer one, so the
-        # support bitmasks screen out most contains calls; the lattice
-        # views are built once per element, not once per pair
+        # the lattice views are built once per element, not once per pair
         masks = [sum(1 << x for x in e.support) for e in elems]
         views = [e.as_lattice() for e in elems]
         for i in range(nb):
             a, ma, va, da = elems[i], masks[i], views[i], dims[i]
             for j in range(i + 1, nb):
-                b, mb = elems[j], masks[j]
-                if not mb & ~ma and contains(a, b):
+                b, mb, db = elems[j], masks[j], dims[j]
+                if db < da and not mb & ~ma and contains(a, b):
                     below[i] |= 1 << j
-                elif not ma & ~mb and contains(b, a):
+                elif da < db and not ma & ~mb and contains(b, a):
                     below[j] |= 1 << i
+                elif da + db > (ma | mb).bit_count():
+                    continue  # the join is too small to be a direct sum
                 else:
                     # incomparable members of a nested set span a direct
                     # sum that is not itself in the building set
                     joined = join(va, views[j])
-                    if in_building(joined, g) or \
-                            joined.dimension() != da + dims[j]:
+                    if in_building(joined, g) or joined.dimension() != da + db:
                         continue
                 ok[i] |= 1 << j
                 ok[j] |= 1 << i
@@ -408,7 +421,9 @@ class _NestedUniverse:
         veto(i, newmask), when given, may return True to cut the whole
         subtree rooted at extending the current set by element i; sound
         whenever the caller's reason to skip newmask persists under
-        adding further elements.
+        adding further elements.  A veto that returns False is followed
+        at once by the yield of newmask, before any other veto call, so
+        the veto may leave per-member data for the consumer to read.
         """
         def dfs(cand: int, mask: int, anti: int):
             yield mask

@@ -9,9 +9,12 @@ codimension k; the empty tubing is the polytope itself.
 
 Tubings are counted, not visited: they are the cliques of the tube
 compatibility graph, counted by size with a memo keyed on the candidate
-set.  Plane forests are counted as set partitions whose parts all have at
-least two items, by a recursion on the part of the lowest item memoised on
-the number of items and parts left.  Neither count uses a generating
+set.  Each memoised f-vector is packed into one int, an entry per digit
+wide enough that no count ever carries into the next, so merging two
+f-vectors is one addition and shifting one by a codimension one shift.
+Plane forests are counted as set partitions whose parts all have at
+least two items, by a recursion on the part of the lowest item memoised
+on the number of items and parts left.  Neither count uses a generating
 series: both are independent of wondermodels.formulas and serve as its
 oracle.
 """
@@ -118,6 +121,12 @@ def fvector_tubings(graph: Graph) -> list[int]:
     tubings whose lowest tube is i, that is i added to a tubing drawn from
     the tubes after i in cand that are compatible with i.  Many branches
     share a candidate set, so count is memoised on it.
+
+    count packs its f-vector into one int, entry k in the k-th digit of
+    W = nt + 1 bits, so a branch merges by one + and moves up one
+    codimension by one <<.  The packing is exact: every entry, and every
+    partial sum of one, counts k-subsets of the nt tubes, at most
+    C(nt, k) < 2^nt, so no digit carries into the next.
     """
     tubes = enumerate_tubes(graph)
     nt = len(tubes)
@@ -126,25 +135,27 @@ def fvector_tubings(graph: Graph) -> list[int]:
         if _compatible(graph, tubes[i], tubes[j]):
             ok[i] |= 1 << j
             ok[j] |= 1 << i
-    memo: dict[int, list[int]] = {}
+    width = nt + 1
+    memo: dict[int, int] = {}
 
-    def count(cand: int) -> list[int]:
+    def count(cand: int) -> int:
         got = memo.get(cand)
         if got is not None:
             return got
-        got = [1]
+        got = 1
         rest = cand
         while rest:
             low = rest & -rest
             rest ^= low
-            sub = count(rest & ok[low.bit_length() - 1])
-            got.extend([0] * (len(sub) + 1 - len(got)))
-            for k, c in enumerate(sub, 1):
-                got[k] += c
+            got += count(rest & ok[low.bit_length() - 1]) << width
         memo[cand] = got
         return got
 
-    fvec = count((1 << nt) - 1)
+    packed, digit = count((1 << nt) - 1), (1 << width) - 1
+    fvec = []
+    while packed:  # every codimension up to the top has a tubing
+        fvec.append(packed & digit)
+        packed >>= width
     top = len(fvec) - 1
     if top != len(graph.nodes) - 1 and len(graph.nodes) != 1:
         raise ArithmeticError(f"tubings reach codimension {top} on "

@@ -317,8 +317,9 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Product, truncated in t: C_n = sum_k binom(n, k) A_k B_(n-k).
 
     Both operands are split into single terms and runs, and the run side
-    is the one whose updates times the other's term count is smaller;
-    binom(n, k) is symmetric, so the sides may swap.
+    is the one whose updates times the other's term count is smaller, on
+    a tie the one with fewer terms; binom(n, k) is symmetric, so the
+    sides may swap.
     """
     trunc = _same_trunc(a, b)
     (qa, za), (qb, zb) = _top_qz(a.slices), _top_qz(b.slices)
@@ -328,7 +329,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     # updates per term of the other side: one per single term, two per run
     ua, ub = (sum(len(p) + 2 * len(r) for _, p, r in R) for R in (RA, RB))
     na, nb = sum(map(len, A)), sum(map(len, B))
-    X, Y = (RA, B) if ua * nb <= ub * na else (RB, A)
+    X, Y = (RA, B) if (ua * nb, na) <= (ub * na, nb) else (RB, A)
     slices = []
     # C_n has no index above the top indices of A_0..A_n and B_0..B_n added
     for n, top in enumerate(map(operator.add, ta, tb)):

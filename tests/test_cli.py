@@ -331,6 +331,33 @@ def test_selftest_json(capsys):
     assert all(c["ok"] for c in doc["checks"])
 
 
+ONE_PROCESS_CALLS = [
+    ["poincare", "--n", "5", "--bogus"],
+    ["poincare", "--r", "2", "--n", "3", "--format", "text"],
+    ["fvector", "--type", "D", "--n", "4", "--format", "csv"],
+    ["euler", "--type", "B", "--n", "3"],
+    ["series-dump", "K", "--trunc", "3"],
+    ["series-dump", "nope", "--trunc", "3"],
+    ["poincare", "--n", "4", "--method", "bruteforce"],
+]
+
+
+def test_one_parser_serves_every_call_alike(capsys):
+    # the parser is built once per process; a bad-args call and the verbs
+    # after it must print what a fresh process prints for each of them
+    assert cli.build_parser() is cli.build_parser()
+    for argv in ONE_PROCESS_CALLS:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "wondermodels", *argv],
+                               capture_output=True, text=True, timeout=120)
+        assert (code, got.out, got.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "wondermodels", "poincare", "--r", "1",

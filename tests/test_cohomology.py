@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -125,6 +126,19 @@ def test_poincare_bruteforce_invariants():
 def test_poincare_bruteforce_guard():
     with pytest.raises(GuardExceeded):
         poincare_bruteforce(GroupId(2, 1, 8), max_building=100)
+
+
+def test_guard_refuses_before_building_the_set():
+    # G(1,1,30) has about 2^30 building elements; counting stops at the
+    # guard, so the refusal costs no more than the guard's worth of them
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "wondermodels", "poincare", "--method", "bruteforce",
+         "--n", "30"], capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "guard violation" in proc.stderr
+    assert elapsed < 1.0, elapsed
 
 
 def test_enumeration_matches_poincare_count():

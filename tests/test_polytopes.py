@@ -232,6 +232,26 @@ def test_largest_admitted_graphs_match_the_series(family, n):
     assert fvector_tubings(g) == series
 
 
+def stirling2(m, k):
+    """Set partitions of m items into k nonempty parts."""
+    if m == k:
+        return 1
+    if k == 0 or k > m:
+        return 0
+    return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_complete_graph_gives_the_permutohedron(m):
+    # K_m has the most tubes per node (every proper subset is a tube), so
+    # its packed count needs the widest digits; its graph associahedron is
+    # the permutohedron, whose codimension-k faces are the ordered set
+    # partitions into k + 1 blocks
+    g = Graph.from_edges(range(1, m + 1), itertools.combinations(range(1, m + 1), 2))
+    assert fvector_tubings(g) == [math.factorial(k + 1) * stirling2(m, k + 1)
+                                  for k in range(m)]
+
+
 def test_disjoint_adjacent_tubes_incompatible():
     # {1} and {2} on a path are disjoint but adjacent: no tubing holds both
     g = path(2)
