@@ -322,16 +322,22 @@ class _NestedUniverse:
     _antiparallel_rule).  Pairwise bitmasks, built once, drive both the
     candidate-set walk of nested_masks and is_nested.
 
-    The build decides every incomparable pair by the join of two lattice
-    views made once per element, and skips the calls whose outcome two
-    lattice facts already fix:
+    The build decides the incomparable pairs on disjoint supports by the
+    join of two lattice views made once per element, and skips the calls
+    whose outcome lattice facts already fix:
       - strict containment raises the rank, and needs the inner support
         inside the outer one, so contains(a, b) is asked only when
         dim b < dim a and supp b lies in supp a (and the reverse likewise);
         two distinct elements of one dimension are never comparable;
-      - a join lives on the union of the two supports, so its dimension
-        is at most |supp a | supp b|; when dim a + dim b exceeds that, the
-        join cannot be a direct sum and the pair is not nested.
+      - an incomparable pair whose supports meet is not nested: its join
+        is one component on the union of the supports.  A block there is
+        in the building set.  A zero set arises only for r >= 2, and it
+        is in the building set too when the union has min_zero_set
+        points: 1 for p < r; 2 for p = r >= 3, and every member has two;
+        3 for G(2,2,n), whose zero sets have three.  The one exception is
+        the antiparallel twins of G(2,2,n), two blocks on one 2-point
+        support: their join is a 2-point zero set, outside the building
+        set, so the pair is nested; partners are left to the join.
     Both skips are exact: every pair the screens leave is decided as
     before, and the tables come out bit for bit the same.
     """
@@ -343,30 +349,10 @@ class _NestedUniverse:
         self.dims = dims = [e.dimension() for e in elems]
         self.ok = ok = [0] * nb          # bit j: the pair {i,j} is nested
         self.below = below = [0] * nb    # bit j: elems[j] strictly inside elems[i]
-        # the lattice views are built once per element, not once per pair
-        masks = [sum(1 << x for x in e.support) for e in elems]
-        views = [e.as_lattice() for e in elems]
-        for i in range(nb):
-            a, ma, va, da = elems[i], masks[i], views[i], dims[i]
-            for j in range(i + 1, nb):
-                b, mb, db = elems[j], masks[j], dims[j]
-                if db < da and not mb & ~ma and contains(a, b):
-                    below[i] |= 1 << j
-                elif da < db and not ma & ~mb and contains(b, a):
-                    below[j] |= 1 << i
-                elif da + db > (ma | mb).bit_count():
-                    continue  # the join is too small to be a direct sum
-                else:
-                    # incomparable members of a nested set span a direct
-                    # sum that is not itself in the building set
-                    joined = join(va, views[j])
-                    if in_building(joined, g) or joined.dimension() != da + db:
-                        continue
-                ok[i] |= 1 << j
-                ok[j] |= 1 << i
-        # data for the G(2,2,n) global rule
+        # data for the G(2,2,n) global rule; partner also exempts the
+        # twins from the meeting-support screen below
         self.rr2 = g.variant is Variant.RR and g.r == 2
-        self.partner = [-1] * nb
+        self.partner = partner = [-1] * nb
         self.strong_mask = 0
         self.covers_anti = [0] * nb  # bit j: strong elems[j] contains elems[i]
         if self.rr2:
@@ -379,8 +365,30 @@ class _NestedUniverse:
             for idxs in by_support.values():
                 if len(idxs) == 2:
                     a, b = idxs
-                    self.partner[a] = b
-                    self.partner[b] = a
+                    partner[a] = b
+                    partner[b] = a
+        # the lattice views are built once per element, not once per pair
+        masks = [sum(1 << x for x in e.support) for e in elems]
+        views = [e.as_lattice() for e in elems]
+        for i in range(nb):
+            a, ma, va, da, pa = elems[i], masks[i], views[i], dims[i], partner[i]
+            for j in range(i + 1, nb):
+                b, mb, db = elems[j], masks[j], dims[j]
+                if db < da and not mb & ~ma and contains(a, b):
+                    below[i] |= 1 << j
+                elif da < db and not ma & ~mb and contains(b, a):
+                    below[j] |= 1 << i
+                elif ma & mb and j != pa:
+                    continue  # the join is one component, back in the set
+                else:
+                    # incomparable members of a nested set span a direct
+                    # sum that is not itself in the building set
+                    joined = join(va, views[j])
+                    if in_building(joined, g) or joined.dimension() != da + db:
+                        continue
+                ok[i] |= 1 << j
+                ok[j] |= 1 << i
+        if self.rr2:
             for j in bits(self.strong_mask):
                 for i in bits(self.below[j]):
                     self.covers_anti[i] |= 1 << j

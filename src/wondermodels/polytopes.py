@@ -21,6 +21,7 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,8 +46,18 @@ class Graph:
                 raise ValueError(f"bad edge {set(e)}")
         return cls(ns, es)
 
-    def neighbors(self, i: int) -> set[int]:
-        return {next(iter(e - {i})) for e in self.edges if i in e}
+    @functools.cached_property
+    def _adjacency(self) -> dict[int, frozenset[int]]:
+        """Each node's neighbours, read off the edges once per graph."""
+        adj: dict[int, set[int]] = {x: set() for x in self.nodes}
+        for x, y in self.edges:
+            adj[x].add(y)
+            adj[y].add(x)
+        return {x: frozenset(ys) for x, ys in adj.items()}
+
+    def neighbors(self, i: int) -> frozenset[int]:
+        """The nodes adjacent to i; empty for a node outside the graph."""
+        return self._adjacency.get(i, frozenset())
 
     def is_connected_subset(self, sub: frozenset) -> bool:
         todo, seen = [next(iter(sub))], set()

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from wondermodels.cli import _poincare_series
 from wondermodels.cohomology import (
     AdmissibleFunction,
     MalformedPartition,
@@ -121,6 +122,14 @@ def test_poincare_bruteforce_invariants():
         assert all(c > 0 for _, c in pq.as_pairs())
         # compact smooth models have palindromic Betti numbers
         assert pq.is_palindromic()
+
+
+@pytest.mark.parametrize("rpn", [(1, 1, 8), (3, 1, 5), (3, 3, 5), (2, 2, 6), (4, 1, 4),
+                                 (5, 5, 4)], ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_poincare_bruteforce_matches_the_series(rpn):
+    # the two routes near the reach of enumeration in each family
+    g = GroupId(*rpn)
+    assert poincare_bruteforce(g) == _poincare_series(g)
 
 
 def test_poincare_bruteforce_guard():

@@ -118,6 +118,14 @@ def test_neighbors_and_connectivity():
     assert not g.is_connected_subset(frozenset({4, 5}))
 
 
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_neighbors_match_a_scan_of_the_edges(g):
+    for x in g.nodes:
+        assert g.neighbors(x) == {y for e in g.edges if x in e for y in e - {x}}
+    assert g.neighbors(0) == g.neighbors(len(g.nodes) + 1) == set()
+
+
 def test_dynkin_shapes():
     a = dynkin_graph("A", 5)
     assert a.nodes == (1, 2, 3, 4)
