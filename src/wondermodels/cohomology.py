@@ -25,12 +25,12 @@ from .lattice import (
     GroupId,
     GuardExceeded,
     _NestedUniverse,
+    _nested_universe,
     bits,
     building_elements,
     building_set,
     contains,
     d_value,
-    is_nested,
 )
 from .series import QPolynomial
 
@@ -59,10 +59,12 @@ class AdmissibleFunction:
             raise ValueError("repeated element in assignment")
         object.__setattr__(self, "assignment",
                            tuple((a, int(e)) for a, e in sorted(self.assignment)))
-        if not is_nested(elems, self.group):
+        uni = _nested_universe(elems, self.group)
+        if uni is None:
             raise ValueError("support is not nested")
-        for a, e in self.assignment:
-            inside = {c for c in elems if c != a and contains(a, c)}
+        # uni.elems is elems, in the order of the assignment
+        for (a, e), below in zip(self.assignment, uni.below):
+            inside = [uni.elems[j] for j in bits(below)]
             d = d_value(inside, a, self.group)
             if not 1 <= e <= d - 1:
                 raise ValueError(f"exponent {e} for {a} outside 1..{d - 1}")

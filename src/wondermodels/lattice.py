@@ -76,6 +76,10 @@ class BuildingElement:
     support is a sorted tuple of coordinates; weights align with support,
     are reduced mod r and normalized so weights[0] == 0.  Strong elements
     carry empty weights.
+
+    The support bitmask and the lattice view are derived once per element,
+    on first use, and kept on it; they are not fields, so equality, hash
+    and order are those of the four fields alone.
     """
 
     kind: str  # "strong" < "weak" alphabetically, giving strongs first in sort
@@ -116,10 +120,19 @@ class BuildingElement:
         # rank t, a block on t coordinates rank t-1
         return len(self.support) if self.is_strong else len(self.support) - 1
 
-    def as_lattice(self) -> "LatticeElement":
+    @functools.cached_property
+    def mask(self) -> int:
+        """The support as a bitmask: bit x for coordinate x."""
+        return sum(1 << x for x in self.support)
+
+    @functools.cached_property
+    def _view(self) -> "LatticeElement":
         if self.is_strong:
             return LatticeElement(self.r, self.support, ())
         return LatticeElement(self.r, (), ((self.support, self.weights),))
+
+    def as_lattice(self) -> "LatticeElement":
+        return self._view
 
     def text(self) -> str:
         if self.is_strong:
@@ -144,6 +157,8 @@ class LatticeElement:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
+        if not self.blocks or (len(self.blocks) == 1 and not self.zeros):
+            return  # one component or none: nothing to overlap
         seen = set(self.zeros)
         for support, _ in self.blocks:
             if seen & set(support):
@@ -251,17 +266,26 @@ def building_set(g: GroupId) -> tuple[BuildingElement, ...]:
 
 
 def contains(outer: BuildingElement, inner: BuildingElement) -> bool:
-    """Subspace containment inner <= outer (equality counts)."""
+    """Subspace containment inner <= outer (equality counts).
+
+    The supports are compared as bitmasks; for two blocks, the outer
+    weights on the inner support, read in one pass, must differ from the
+    inner weights by one shift mod r.
+    """
+    mi = inner.mask
+    if mi & ~outer.mask:
+        return False
     if outer.is_strong:
-        return set(inner.support) <= set(outer.support)
+        return True
     if inner.is_strong:
         return False
-    if not set(inner.support) <= set(outer.support):
-        return False
     r = outer.r
-    shift = (outer.weight_of(inner.support[0]) - inner.weights[0]) % r
-    return all((outer.weight_of(i) - inner.weight_of(i)) % r == shift
-               for i in inner.support)
+    on_inner = [v for x, v in zip(outer.support, outer.weights) if mi >> x & 1]
+    shift = (on_inner[0] - inner.weights[0]) % r
+    for v, w in zip(on_inner, inner.weights):
+        if (v - w) % r != shift:
+            return False
+    return True
 
 
 def comparable(a: BuildingElement, b: BuildingElement) -> bool:
@@ -270,7 +294,7 @@ def comparable(a: BuildingElement, b: BuildingElement) -> bool:
 
 def element_in_building(e: BuildingElement, g: GroupId) -> bool:
     """Structural membership test, independent of the building set's size."""
-    return (e.r == g.r and set(e.support) <= set(range(1, g.n + 1))
+    return (e.r == g.r and not e.mask & ~((2 << g.n) - 2)
             and all(0 <= a < g.r for a in e.weights)
             and in_building(e.as_lattice(), g))
 
@@ -323,7 +347,8 @@ class _NestedUniverse:
     candidate-set walk of nested_masks and is_nested.
 
     The build decides the incomparable pairs on disjoint supports by the
-    join of two lattice views made once per element, and skips the calls
+    join of the two elements' lattice views, which each element builds
+    once and keeps (with its support bitmask), and skips the calls
     whose outcome lattice facts already fix:
       - strict containment raises the rank, and needs the inner support
         inside the outer one, so contains(a, b) is asked only when
@@ -367,13 +392,12 @@ class _NestedUniverse:
                     a, b = idxs
                     partner[a] = b
                     partner[b] = a
-        # the lattice views are built once per element, not once per pair
-        masks = [sum(1 << x for x in e.support) for e in elems]
-        views = [e.as_lattice() for e in elems]
         for i in range(nb):
-            a, ma, va, da, pa = elems[i], masks[i], views[i], dims[i], partner[i]
+            a, da, pa = elems[i], dims[i], partner[i]
+            ma, va = a.mask, a.as_lattice()
             for j in range(i + 1, nb):
-                b, mb, db = elems[j], masks[j], dims[j]
+                b, db = elems[j], dims[j]
+                mb = b.mask
                 if db < da and not mb & ~ma and contains(a, b):
                     below[i] |= 1 << j
                 elif da < db and not ma & ~mb and contains(b, a):
@@ -383,7 +407,7 @@ class _NestedUniverse:
                 else:
                     # incomparable members of a nested set span a direct
                     # sum that is not itself in the building set
-                    joined = join(va, views[j])
+                    joined = join(va, b.as_lattice())
                     if in_building(joined, g) or joined.dimension() != da + db:
                         continue
                 ok[i] |= 1 << j
@@ -448,20 +472,25 @@ class _NestedUniverse:
         yield from dfs((1 << len(self.elems)) - 1, 0, 0)
 
 
-def is_nested(s, g: GroupId) -> bool:
-    """Nestedness of a set of building elements, by the universe's rule:
-    the set is built up one element at a time in sorted order, the path
-    on which nested_masks reaches it."""
+def _nested_universe(s, g: GroupId) -> _NestedUniverse | None:
+    """The universe over the sorted members of s when s is nested, else
+    None: the set is built up one element at a time in sorted order, the
+    path on which nested_masks reaches it."""
     uni = _NestedUniverse(g, _check_membership(s, g))
     mask = anti = 0
     for i in range(len(uni.elems)):
         if mask & ~uni.ok[i]:
-            return False
+            return None
         anti = uni._antiparallel_rule(i, mask, anti)
         if anti is None:
-            return False
+            return None
         mask |= 1 << i
-    return True
+    return uni
+
+
+def is_nested(s, g: GroupId) -> bool:
+    """Nestedness of a set of building elements, by the universe's rule."""
+    return _nested_universe(s, g) is not None
 
 
 def d_value(h, b: BuildingElement, g: GroupId) -> int:

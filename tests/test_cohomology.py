@@ -23,10 +23,13 @@ from wondermodels.lattice import (
     GroupId,
     GuardExceeded,
     _NestedUniverse,
+    _nested_universe,
+    bits,
     building_set,
     contains,
     d_value,
 )
+from test_lattice import UNIVERSE_GROUPS
 
 
 def weak(coords, weights, r):
@@ -89,6 +92,35 @@ def test_admissible_function_exponent_zero_not_stored():
     a = weak((1, 2, 3), (0, 0, 0), 1)
     with pytest.raises(ValueError):
         AdmissibleFunction.from_dict(g, {a: 0})
+
+
+def test_admissible_function_error_messages():
+    g = GroupId(1, 1, 4)
+    a = weak((1, 2, 3, 4), (0, 0, 0, 0), 1)
+    with pytest.raises(ValueError, match=r"^support is not nested$"):
+        AdmissibleFunction.from_dict(g, {weak((1, 2, 3), (0, 0, 0), 1): 1,
+                                         weak((2, 3, 4), (0, 0, 0), 1): 1})
+    with pytest.raises(ValueError, match=r"^exponent 3 for \{1, 2, 3, 4\} outside 1\.\.2$"):
+        AdmissibleFunction.from_dict(g, {a: 3})
+    with pytest.raises(ValueError, match=r"^exponent 0 for \{1, 2, 3, 4\} outside 1\.\.2$"):
+        AdmissibleFunction.from_dict(g, {a: 0})
+    foreign = weak((1, 2), (0, 1), 2)
+    with pytest.raises(ValueError,
+                       match=r"^\{1, 2\^1\} is not in the building set of G\(1,1,4\)$"):
+        AdmissibleFunction.from_dict(g, {a: 1, foreign: 1})
+
+
+@pytest.mark.parametrize("rpn", UNIVERSE_GROUPS, ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_validation_reads_containment_from_the_universe(rpn):
+    # AdmissibleFunction takes each member's strictly-inside set from the
+    # universe that decided its support is nested
+    g = GroupId(*rpn)
+    for f in enumerate_admissible(g):
+        uni = _nested_universe(f.support(), g)
+        assert uni.elems == f.support()
+        for a, below in zip(uni.elems, uni.below):
+            got = {uni.elems[j] for j in bits(below)}
+            assert got == {c for c in uni.elems if c != a and contains(a, c)}, (rpn, f)
 
 
 # ---------------------------------------------------------------------------

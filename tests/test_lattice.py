@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -14,10 +15,12 @@ from wondermodels.lattice import (
     _NestedUniverse,
     _normalize_block,
     bits,
+    building_elements,
     building_set,
     comparable,
     contains,
     d_value,
+    element_in_building,
     in_building,
     is_nested,
     is_nested_def,
@@ -95,6 +98,81 @@ def test_contains_rules():
     assert contains(S((1, 2, 3), r), S((1, 3), r))
     assert not contains(big, S((1, 2), r))          # zero sets never sit in a block
     assert comparable(big, big)
+
+
+def contains_by_sets(outer, inner):
+    """Reference containment: supports as sets, weights by position lookup."""
+    if outer.is_strong:
+        return set(inner.support) <= set(outer.support)
+    if inner.is_strong:
+        return False
+    if not set(inner.support) <= set(outer.support):
+        return False
+    r = outer.r
+    shift = (outer.weight_of(inner.support[0]) - inner.weights[0]) % r
+    return all((outer.weight_of(i) - inner.weight_of(i)) % r == shift
+               for i in inner.support)
+
+
+def element_in_building_by_sets(e, g):
+    """Reference membership: coordinates as sets, on a freshly built view."""
+    view = (LatticeElement(e.r, e.support, ()) if e.is_strong
+            else LatticeElement(e.r, (), ((e.support, e.weights),)))
+    return (e.r == g.r and set(e.support) <= set(range(1, g.n + 1))
+            and all(0 <= a < g.r for a in e.weights)
+            and in_building(view, g))
+
+
+SMALL_GROUPS = [GroupId(r, p, n) for r in (1, 2, 3, 4) for p in range(1, r + 1)
+                if r % p == 0 for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("g", SMALL_GROUPS, ids=str)
+def test_predicates_match_the_set_based_reference(g):
+    elems = building_set(g)
+    for a, b in itertools.product(elems, repeat=2):
+        assert contains(a, b) == contains_by_sets(a, b), (a, b)
+    r, n = g.r, g.n
+    outside = [W((1, 2), (0, 0), r + 1), S((1,), r + 1), W((1, n + 1), (0, 0), r),
+               S((n + 1,), r), S((1, n + 1), r), BuildingElement("strong", (0, 1), (), r),
+               BuildingElement("weak", (1, 2), (0, r), r)]
+    if g.min_zero_set > 1:
+        outside.append(S(range(1, min(g.min_zero_set, n + 1)), r))
+    for e in elems + tuple(outside):
+        assert element_in_building(e, g) == element_in_building_by_sets(e, g), e
+    assert all(element_in_building(e, g) for e in elems)
+    assert not any(element_in_building(e, g) for e in outside)
+
+
+def test_lattice_element_refuses_overlaps():
+    with pytest.raises(ValueError):
+        LatticeElement(2, (), (((1, 2), (0, 0)), ((2, 3), (0, 1))))
+    with pytest.raises(ValueError):
+        LatticeElement(2, (2,), (((1, 2), (0, 1)),))
+    with pytest.raises(ValueError):
+        LatticeElement(3, (5,), (((1, 2), (0, 1)), ((4, 5), (0, 0))))
+    # one component, or disjoint ones, stand
+    assert LatticeElement(2, (), (((1, 2), (0, 1)),)).component_count() == 1
+    assert LatticeElement(2, (1, 2), ()).component_count() == 1
+    assert LatticeElement(2, (3,), (((1, 2), (0, 1)),)).component_count() == 2
+
+
+@pytest.mark.parametrize("rpn", [(1, 1, 4), (2, 1, 3), (2, 2, 4), (3, 3, 3)],
+                         ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_stored_mask_and_view_leave_identity_alone(rpn):
+    g = GroupId(*rpn)
+    bs = building_set(g)
+    for e in bs:
+        fresh = BuildingElement(e.kind, e.support, e.weights, e.r)
+        assert e.mask == sum(1 << x for x in e.support)
+        assert e.as_lattice() is e.as_lattice()
+        assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+        assert not e < fresh and not fresh < e and e <= fresh
+    assert [f.name for f in dataclasses.fields(BuildingElement)] == \
+        ["kind", "support", "weights", "r"]
+    # read views and masks on the cached set, sort a fresh one beside it
+    assert bs == tuple(sorted(building_elements(g)))
+    assert list(bs) == sorted(bs, key=lambda e: (e.kind, e.support, e.weights))
 
 
 def test_join_merges_consistent_blocks():
