@@ -57,6 +57,9 @@ class AdmissibleFunction:
         elems = tuple(sorted(a for a, _ in self.assignment))
         if len(set(elems)) != len(elems):
             raise ValueError("repeated element in assignment")
+        for a, e in self.assignment:
+            if not isinstance(e, int):
+                raise ValueError(f"exponent {e!r} for {a} is not an integer")
         object.__setattr__(self, "assignment",
                            tuple((a, int(e)) for a, e in sorted(self.assignment)))
         uni = _nested_universe(elems, self.group)

@@ -14,11 +14,12 @@ the type B/D series.  The basic objects:
   f_typeA / x_typeA     plane-tree faces and the Euler series for type A
   tilde_gamma / f_cy    type B/D analogues over the doubled line
 
-Each series is built at an internal working truncation large enough that
-the z -> d/dt substitution is exact through the requested t-order: a z^s
-term always rides with at least 3s powers of t here (2s in the B/D and
-type A Euler series), which bounds how far above the target the source
-terms can sit.
+Every z -> d/dt goes through one step, _substituted (then a t-integration
+for Gamma, calK and tildeGamma), and one rule truncates its source.  A z^s
+term rides with at least ratio * s powers of t (3 in psi, K and gamma; 2 in
+tilde_gamma and the source of X), so t^m z^s lands at t-degree m - s >=
+m (ratio - 1) / ratio: target degree d (trunc, or trunc - 1 before the
+integration) needs only source degrees m <= d + d // (ratio - 1).
 """
 
 from __future__ import annotations
@@ -93,25 +94,25 @@ def gamma_series(r: int, trunc: int, literal_reading: bool = False) -> Truncated
     return assert_degree_bounds(mul(pre, exp(_blocks(r, trunc, literal_reading))))
 
 
-def _working_trunc_3(trunc: int) -> int:
-    # z^s terms ride with >= 3s powers of t, so source degree m feeding the
-    # substitution at target degree d <= trunc-1 satisfies m <= 3(trunc-1)/2
-    return max(trunc, -(-3 * (trunc - 1) // 2))
+def _substituted(build, trunc: int, ratio: int, integrate: bool) -> TruncatedSeries:
+    """build(w) with z replaced by d/dt, integrated in t if asked, to t^trunc;
+    w follows the truncation rule of the module docstring, for a source whose
+    z^s terms ride with at least ratio * s powers of t."""
+    d = trunc - 1 if integrate else trunc
+    out = subst_z_derivative(build(max(trunc, d + d // (ratio - 1))))
+    if integrate:
+        out = integrate_t(out)
+    return truncated(out, trunc)
 
 
 def big_gamma(r: int, trunc: int, literal_reading: bool = False) -> TruncatedSeries:
     """Gamma = integral of gamma with z replaced by d/dt."""
-    w = _working_trunc_3(trunc)
-    g = gamma_series(r, w, literal_reading)
-    return truncated(integrate_t(subst_z_derivative(g)), trunc)
+    return _substituted(lambda w: gamma_series(r, w, literal_reading), trunc, 3, True)
 
 
 def cal_k(r: int, trunc: int) -> TruncatedSeries:
     """1 + integral of k_series with z replaced by d/dt; starts 1 + t."""
-    w = _working_trunc_3(trunc)
-    k = k_series(r, w)
-    out = truncated(integrate_t(subst_z_derivative(k)), trunc)
-    return add(T.one(trunc), out)
+    return add(T.one(trunc), _substituted(lambda w: k_series(r, w), trunc, 3, True))
 
 
 def phi_full_monomial(r: int, trunc: int,
@@ -150,20 +151,13 @@ def _exact(num: int, den: int, problem: str) -> int:
 def poincare_from_psi(n: int) -> QPolynomial:
     """Poincare polynomial of the model for the symmetric group S_n.
 
-    Reads every z^s t^(n+s-1) coefficient of psi (s can reach (n-1)/2) and
-    scales by (n+s-1)!.
+    The sum over s of (n+s-1)! times the z^s t^(n+s-1) coefficient of psi,
+    which is (n-1)! times the t^(n-1) coefficient of psi with z replaced
+    by d/dt.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    smax = (n - 1) // 2
-    s_psi = psi_series(n - 1 + smax)
-    out: dict[int, int] = {}
-    for s in range(smax + 1):
-        for (eq, ez, ew), num in s_psi.slices[n + s - 1].items():
-            if ez == s and ew == 0:
-                count = _exact(num, s_psi.den, f"non-integer count at q^{eq} z^{s}")
-                out[eq] = out.get(eq, 0) + count
-    return QPolynomial(out)
+    return poincare_from_phi(_substituted(psi_series, n - 1, 3, False), n - 1)
 
 
 def poincare_from_phi(phi: TruncatedSeries, n: int) -> QPolynomial:
@@ -179,15 +173,20 @@ def poincare_from_phi(phi: TruncatedSeries, n: int) -> QPolynomial:
     return QPolynomial(out)
 
 
+def _exp_z_minus_one(trunc: int, num) -> TruncatedSeries:
+    """exp(z * sum_{i>=2} num(i) t^i/i!) - 1."""
+    arg = T.from_slices(trunc, [{}, {}] + [{(0, 1, 0): num(i)}
+                                           for i in range(2, trunc + 1)])
+    return add(exp(arg), scale(T.one(trunc), -1))
+
+
 def f_typeA(trunc: int) -> TruncatedSeries:
     """exp(z t^2/(1-t)) - 1: faces of type A nestohedra via plane trees.
 
     (n+s-1)! times the z^s t^(n+s-1) coefficient counts plane rooted forests
     with s internal vertices on n labeled leaves.
     """
-    arg = T.from_slices(trunc, [{}, {}] + [{(0, 1, 0): math.factorial(i)}
-                                           for i in range(2, trunc + 1)])
-    return add(exp(arg), scale(T.one(trunc), -1))
+    return _exp_z_minus_one(trunc, math.factorial)
 
 
 def kirkman_cayley(n: int, s: int) -> int:
@@ -195,10 +194,8 @@ def kirkman_cayley(n: int, s: int) -> int:
     (1/s) C(n-2, s-1) C(n+s-1, s-1)."""
     if n < 2 or not 1 <= s <= n - 1:
         raise ValueError(f"kirkman_cayley needs n >= 2 and 1 <= s <= n-1, got ({n},{s})")
-    val = Fraction(math.comb(n - 2, s - 1) * math.comb(n + s - 1, s - 1), s)
-    if val.denominator != 1:
-        raise ArithmeticError(f"kirkman_cayley({n},{s}) is not integral")
-    return val.numerator
+    return _exact(math.comb(n - 2, s - 1) * math.comb(n + s - 1, s - 1), s,
+                  f"kirkman_cayley({n},{s}) is not integral")
 
 
 def fvector_typeA(n: int) -> list[int]:
@@ -214,18 +211,17 @@ def fvector_typeA(n: int) -> list[int]:
 
 
 def x_typeA(trunc: int) -> TruncatedSeries:
-    """Euler series of the real type A models: exp((z/2) t^2/(1+t)) - 1 with
-    z replaced by d/dt (no integration step here).
+    """Euler series of the real type A models: exp((z/2) t^2/(1+t)) - 1, that
+    is f_typeA with t -> -t and z -> z/2, then z replaced by d/dt (no
+    integration step here).
 
     (n-1)! times the t^(n-1) coefficient is the Euler characteristic of the
     n-point model; it vanishes for odd n >= 3, these being odd-dimensional
     closed manifolds.
     """
-    w = 2 * trunc
-    arg = T.from_slices(w, [{}, {}] + [{(0, 1, 0): (-1) ** i * math.factorial(i) // 2}
-                                       for i in range(2, w + 1)])
-    src = add(exp(arg), scale(T.one(w), -1))
-    return truncated(subst_z_derivative(src), trunc)
+    def source(w):
+        return _exp_z_minus_one(w, lambda i: (-1) ** i * math.factorial(i) // 2)
+    return _substituted(source, trunc, 2, False)
 
 
 def euler_from_x(n: int) -> int:
@@ -247,10 +243,8 @@ def tilde_gamma(trunc: int) -> TruncatedSeries:
 
 
 def tilde_big_gamma(trunc: int) -> TruncatedSeries:
-    """Integrated derivative of tilde_gamma (z^s rides with >= 2s t's here)."""
-    w = max(trunc, 2 * (trunc - 1))
-    g = tilde_gamma(w)
-    return truncated(integrate_t(subst_z_derivative(g)), trunc)
+    """Integral of tilde_gamma with z replaced by d/dt."""
+    return _substituted(tilde_gamma, trunc, 2, True)
 
 
 def f_cy(variant: str, trunc: int) -> TruncatedSeries:

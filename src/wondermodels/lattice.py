@@ -96,15 +96,16 @@ class BuildingElement:
 
     @classmethod
     def weak(cls, coords, weights, r: int) -> "BuildingElement":
+        """weights: a dict by coordinate, or a sequence in the order of coords."""
+        coords = tuple(coords)
         support = tuple(sorted(set(coords)))
+        if len(support) != len(coords):
+            raise ValueError("repeated coordinate in a weak element")
         if len(support) < 2 or support[0] < 1:
             raise ValueError("weak element needs >= 2 coordinates >= 1")
-        if isinstance(weights, dict):
-            wlist = [weights[i] for i in support]
-        else:
-            wlist = list(weights)
-        if len(wlist) != len(support):
-            raise ValueError("weights do not match support")
+        if not isinstance(weights, dict):
+            weights = dict(zip(coords, weights, strict=True))
+        wlist = [weights[i] for i in support]
         shift = wlist[0]
         return cls("weak", support, tuple((a - shift) % r for a in wlist), r)
 
@@ -256,7 +257,7 @@ def building_elements(g: GroupId):
     for size in range(2, n + 1):
         for coords in itertools.combinations(range(1, n + 1), size):
             for tail in itertools.product(range(r), repeat=size - 1):
-                yield BuildingElement.weak(coords, (0,) + tail, r)
+                yield BuildingElement("weak", coords, (0,) + tail, r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -368,7 +369,6 @@ class _NestedUniverse:
     """
 
     def __init__(self, g: GroupId, elems: tuple[BuildingElement, ...]):
-        self.group = g
         self.elems = elems
         nb = len(elems)
         self.dims = dims = [e.dimension() for e in elems]

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -92,6 +93,14 @@ def test_admissible_function_exponent_zero_not_stored():
     a = weak((1, 2, 3), (0, 0, 0), 1)
     with pytest.raises(ValueError):
         AdmissibleFunction.from_dict(g, {a: 0})
+
+
+@pytest.mark.parametrize("exponent", [1.9, Fraction(3, 2), 2.0, "2"])
+def test_admissible_function_refuses_non_integer_exponents(exponent):
+    g = GroupId(1, 1, 4)
+    a = weak((1, 2, 3, 4), (0, 0, 0, 0), 1)
+    with pytest.raises(ValueError, match="is not an integer"):
+        AdmissibleFunction.from_dict(g, {a: exponent})
 
 
 def test_admissible_function_error_messages():

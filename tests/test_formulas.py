@@ -28,7 +28,14 @@ from wondermodels.formulas import (
     tilde_gamma,
     x_typeA,
 )
-from wondermodels.series import TruncatedSeries, coeff
+from wondermodels.series import (
+    TruncatedSeries,
+    add,
+    coeff,
+    integrate_t,
+    subst_z_derivative,
+    truncated,
+)
 
 
 def zslice(s, ez, et):
@@ -300,3 +307,44 @@ def test_euler_series_is_w_free():
     s = euler_series_bd("B", 4)
     assert all(ew == 0 for (_, _, _, ew) in s.terms)
     assert isinstance(s, TruncatedSeries)
+
+
+# ---------------------------------------------------------------------------
+# the one z -> d/dt step and its source truncation
+
+
+def _pipeline(source, trunc, integrate):
+    out = subst_z_derivative(source)
+    return truncated(integrate_t(out) if integrate else out, trunc)
+
+
+@pytest.mark.parametrize("trunc", range(1, 11))
+def test_substituted_series_match_a_generous_source(trunc):
+    # the sources built at 3 * trunc lie far above the truncation rule
+    w = 3 * trunc
+    for r in range(1, 5):
+        assert big_gamma(r, trunc) == _pipeline(gamma_series(r, w), trunc, True)
+        # the literal reading's denominators make sources past t^20 cost
+        # seconds each, so its source stops at 2 * trunc, still above the rule
+        assert big_gamma(r, trunc, literal_reading=True) == \
+            _pipeline(gamma_series(r, 2 * trunc, literal_reading=True), trunc, True)
+        assert cal_k(r, trunc) == \
+            add(TruncatedSeries.one(trunc), _pipeline(k_series(r, w), trunc, True))
+    assert tilde_big_gamma(trunc) == _pipeline(tilde_gamma(w), trunc, True)
+    # the source of X is F with t -> -t and z -> z/2
+    x_source = TruncatedSeries(w, {(eq, et, ez, ew): c * (-1) ** et / 2 ** ez
+                                   for (eq, et, ez, ew), c in f_typeA(w).terms.items()})
+    assert x_typeA(trunc) == _pipeline(x_source, trunc, False)
+
+
+def test_poincare_from_psi_sums_every_z_slice():
+    # sum over s of (n+s-1)! [t^(n+s-1) z^s] psi, read term by term over
+    # every s < n, with no substitution
+    psi = psi_series(58)
+    for n in range(2, 31):
+        want = {}
+        for s in range(n):
+            for eq in range(n):
+                c = coeff(psi, eq=eq, et=n + s - 1, ez=s) * math.factorial(n + s - 1)
+                want[eq] = want.get(eq, 0) + c
+        assert poincare_from_psi(n).coeffs == {eq: c for eq, c in want.items() if c}, n

@@ -56,8 +56,24 @@ def test_building_element_normalization():
     assert e.weights == (0, 2)  # shifted so the smallest coordinate is 0
     assert e.dimension() == 1
     assert S((3, 1), 2).dimension() == 2
+    assert str(W((3, 1), (0, 1), 3)) == str(W((3, 1), {3: 0, 1: 1}, 3)) == "{1, 3^2}"
     with pytest.raises(ValueError):
         W((1,), (0,), 2)
+
+
+@pytest.mark.parametrize("coords", list(itertools.permutations((1, 3, 5))))
+def test_weak_weights_follow_the_coordinates_as_given(coords):
+    # a weight sequence pairs with coords in the order given, as a dict does
+    by_coord = {1: 0, 3: 2, 5: 1}
+    seq = W(coords, [by_coord[i] for i in coords], 4)
+    assert seq == W(coords, by_coord, 4) == W((1, 3, 5), (0, 2, 1), 4)
+
+
+def test_weak_refuses_a_repeated_coordinate():
+    with pytest.raises(ValueError, match="repeated coordinate"):
+        W((1, 2, 1), (0, 1, 0), 3)
+    with pytest.raises(ValueError, match="repeated coordinate"):
+        W((2, 1, 2), {1: 0, 2: 1}, 3)
 
 
 def test_text_forms():

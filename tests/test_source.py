@@ -68,3 +68,13 @@ def test_no_orphaned_private_helpers_in_the_library():
                 if refs[node.name] == own:
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_one_substitution_step_in_the_formula_layer():
+    # every z -> d/dt (and its t-integration) goes through one step, so the
+    # source truncation rule is written once
+    tree = ast.parse((SRC / "formulas.py").read_text())
+    calls = Counter(node.func.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name))
+    assert calls["subst_z_derivative"] == 1
+    assert calls["integrate_t"] == 1
