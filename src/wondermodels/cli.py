@@ -61,6 +61,22 @@ EXIT_BADARGS = 4
 
 DUMP_TRUNC_GUARD = 12
 
+# The largest n the series route answers, per verb and per family whose
+# cost differs (B and D share one cap, sized on D, the costlier), and the
+# largest r of poincare by series, whose coefficients grow with r; at its
+# caps each verb answers within about 10 s on a 2-core host (README,
+# "Guards and conventions").  Beyond a cap a verb refuses with exit 3
+# before any series is built.
+SERIES_N_GUARD = {
+    ("poincare", "r=1"): 150,
+    ("poincare", "r>=2"): 80,
+    ("fvector", "A"): 170,
+    ("fvector", "B, D"): 100,
+    ("euler", "A"): 250,
+    ("euler", "B, D"): 100,
+}
+SERIES_R_GUARD = 1024
+
 # r-independent series take and ignore r so the dispatch below stays
 # uniform; run_series_dump refuses r < 1 for every name
 SERIES_REGISTRY = {
@@ -164,6 +180,12 @@ def _emit(fmt: str, doc: dict, text: list[str], csv: list[tuple]) -> int:
     return EXIT_MISMATCH if doc.get("verdict") == "mismatch" else EXIT_OK
 
 
+def _check_series_n(verb: str, family: str, n: int) -> None:
+    cap = SERIES_N_GUARD[verb, family]
+    if n > cap:
+        raise GuardExceeded(f"{verb} by series answers n <= {cap} for {family}, got n = {n}")
+
+
 def _poincare_series(g: GroupId) -> QPolynomial:
     """The series answer, checked against Poincare duality: palindromic
     of degree the complex dimension of the model."""
@@ -190,6 +212,10 @@ def run_poincare(args) -> int:
         note = f"Y_{{G({g.r},{g.p},{g.n})}} = Y_{{G({g.r},1,{g.n})}}"
     values = {}
     if args.method in ("series", "both"):
+        _check_series_n("poincare", "r=1" if g.r == 1 else "r>=2", g.n)
+        if g.r > SERIES_R_GUARD:
+            raise GuardExceeded(f"poincare by series answers r <= {SERIES_R_GUARD}, "
+                                f"got r = {g.r}")
         values["series"] = _poincare_series(g)
     if args.method in ("bruteforce", "both"):
         values["bruteforce"] = poincare_bruteforce(g, max_building=args.seed_guard)
@@ -226,6 +252,7 @@ def run_fvector(args) -> int:
     note = D3_DEGENERATE_NOTE if family == "D" and n == 3 else None
     values = {}
     if args.method in ("series", "both"):
+        _check_series_n("fvector", "A" if family == "A" else "B, D", n)
         values["series"] = _fvector_series(family, n)
     if args.method in ("tubings", "both"):
         values["tubings"] = fvector_tubings(dynkin_graph(family, n))
@@ -244,6 +271,7 @@ def run_fvector(args) -> int:
 
 def run_euler(args) -> int:
     family, n = args.family, args.n
+    _check_series_n("euler", "A" if family == "A" else "B, D", n)
     note = D3_DEGENERATE_NOTE if family == "D" and n == 3 else None
     values = {"series": euler_from_x(n) if family == "A" else euler_from_bd(family, n)}
     lo, hi = EULER_CW_RANGE[family]

@@ -20,6 +20,14 @@ term rides with at least ratio * s powers of t (3 in psi, K and gamma; 2 in
 tilde_gamma and the source of X), so t^m z^s lands at t-degree m - s >=
 m (ratio - 1) / ratio: target degree d (trunc, or trunc - 1 before the
 integration) needs only source degrees m <= d + d // (ratio - 1).
+
+The step also hands d to the source as a grade bound.  After z -> d/dt a
+term's t-degree is its grade t - z, so only grades up to d are read.  The
+source's exp, 1/(1-s) and products drop every term of grade above d.  This
+is exact: no term has z > t (assert_degree_bounds), and grades add under a
+product and each recurrence step, so a dropped term only ever feeds terms
+above d.  The named series of series-dump are built without a bound, with
+every grade up to trunc.
 """
 
 from __future__ import annotations
@@ -65,22 +73,25 @@ def _blocks(r: int, trunc: int, literal_reading: bool = False) -> TruncatedSerie
     return T.from_slices(trunc, slices)
 
 
-def psi_series(trunc: int) -> TruncatedSeries:
+def psi_series(trunc: int, bound: int | None = None) -> TruncatedSeries:
     """e^t * prod_{i>=3} exp(z q [i-2]_q t^i / i!), which is k_series(1, trunc).
 
     The t^(n+s-1) z^s coefficient times (n+s-1)! is the q-count of basis
-    monomials over nested sets of s blocks on n points.
+    monomials over nested sets of s blocks on n points.  With a bound,
+    only the terms of grade t - z up to it, here and in every source of
+    z -> d/dt below.
     """
-    return k_series(1, trunc)
+    return k_series(1, trunc, bound=bound)
 
 
-def k_series(r: int, trunc: int) -> TruncatedSeries:
+def k_series(r: int, trunc: int, bound: int | None = None) -> TruncatedSeries:
     """e^t * prod_{i>=3} exp((z/r) q [i-2]_q (rt)^i / i!), as one exp."""
     arg = add(T.monomial(trunc, 1, et=1), _blocks(r, trunc))
-    return assert_degree_bounds(exp(arg))
+    return assert_degree_bounds(exp(arg, bound=bound))
 
 
-def gamma_series(r: int, trunc: int, literal_reading: bool = False) -> TruncatedSeries:
+def gamma_series(r: int, trunc: int, literal_reading: bool = False,
+                 bound: int | None = None) -> TruncatedSeries:
     """Blocks through the marked point: prefactor sum_{i>=2} q[i-1]_q t^(i-1)/(i-1)!
     times the same infinite product as k_series.
 
@@ -91,15 +102,16 @@ def gamma_series(r: int, trunc: int, literal_reading: bool = False) -> Truncated
     """
     pre = T.from_slices(trunc, [{}] + [{(e + 1, 0, 0): 1 for e in q_analog(m)}
                                        for m in range(1, trunc + 1)])
-    return assert_degree_bounds(mul(pre, exp(_blocks(r, trunc, literal_reading))))
+    blocks = exp(_blocks(r, trunc, literal_reading), bound=bound)
+    return assert_degree_bounds(mul(pre, blocks, bound=bound))
 
 
 def _substituted(build, trunc: int, ratio: int, integrate: bool) -> TruncatedSeries:
-    """build(w) with z replaced by d/dt, integrated in t if asked, to t^trunc;
-    w follows the truncation rule of the module docstring, for a source whose
-    z^s terms ride with at least ratio * s powers of t."""
+    """build(w, d) with z replaced by d/dt, integrated in t if asked, to
+    t^trunc; w and the grade bound d follow the module docstring, for a
+    source whose z^s terms ride with at least ratio * s powers of t."""
     d = trunc - 1 if integrate else trunc
-    out = subst_z_derivative(build(max(trunc, d + d // (ratio - 1))))
+    out = subst_z_derivative(build(max(trunc, d + d // (ratio - 1)), d))
     if integrate:
         out = integrate_t(out)
     return truncated(out, trunc)
@@ -107,12 +119,14 @@ def _substituted(build, trunc: int, ratio: int, integrate: bool) -> TruncatedSer
 
 def big_gamma(r: int, trunc: int, literal_reading: bool = False) -> TruncatedSeries:
     """Gamma = integral of gamma with z replaced by d/dt."""
-    return _substituted(lambda w: gamma_series(r, w, literal_reading), trunc, 3, True)
+    return _substituted(lambda w, bound: gamma_series(r, w, literal_reading, bound=bound),
+                        trunc, 3, True)
 
 
 def cal_k(r: int, trunc: int) -> TruncatedSeries:
     """1 + integral of k_series with z replaced by d/dt; starts 1 + t."""
-    return add(T.one(trunc), _substituted(lambda w: k_series(r, w), trunc, 3, True))
+    return add(T.one(trunc),
+               _substituted(lambda w, bound: k_series(r, w, bound=bound), trunc, 3, True))
 
 
 def phi_full_monomial(r: int, trunc: int,
@@ -173,11 +187,11 @@ def poincare_from_phi(phi: TruncatedSeries, n: int) -> QPolynomial:
     return QPolynomial(out)
 
 
-def _exp_z_minus_one(trunc: int, num) -> TruncatedSeries:
+def _exp_z_minus_one(trunc: int, num, bound: int | None = None) -> TruncatedSeries:
     """exp(z * sum_{i>=2} num(i) t^i/i!) - 1."""
     arg = T.from_slices(trunc, [{}, {}] + [{(0, 1, 0): num(i)}
                                            for i in range(2, trunc + 1)])
-    return add(exp(arg), scale(T.one(trunc), -1))
+    return add(exp(arg, bound=bound), scale(T.one(trunc), -1))
 
 
 def f_typeA(trunc: int) -> TruncatedSeries:
@@ -210,6 +224,12 @@ def fvector_typeA(n: int) -> list[int]:
             for k in range(1, n)]
 
 
+def _x_source(trunc: int, bound: int | None = None) -> TruncatedSeries:
+    """exp((z/2) t^2/(1+t)) - 1, the series x_typeA substitutes."""
+    return _exp_z_minus_one(trunc, lambda i: (-1) ** i * math.factorial(i) // 2,
+                            bound=bound)
+
+
 def x_typeA(trunc: int) -> TruncatedSeries:
     """Euler series of the real type A models: exp((z/2) t^2/(1+t)) - 1, that
     is f_typeA with t -> -t and z -> z/2, then z replaced by d/dt (no
@@ -219,9 +239,7 @@ def x_typeA(trunc: int) -> TruncatedSeries:
     n-point model; it vanishes for odd n >= 3, these being odd-dimensional
     closed manifolds.
     """
-    def source(w):
-        return _exp_z_minus_one(w, lambda i: (-1) ** i * math.factorial(i) // 2)
-    return _substituted(source, trunc, 2, False)
+    return _substituted(_x_source, trunc, 2, False)
 
 
 def euler_from_x(n: int) -> int:
@@ -233,13 +251,13 @@ def euler_from_x(n: int) -> int:
                   f"non-integer Euler characteristic at n={n}")
 
 
-def tilde_gamma(trunc: int) -> TruncatedSeries:
+def tilde_gamma(trunc: int, bound: int | None = None) -> TruncatedSeries:
     """2/(1-2t)^2 * prod_{j>=2} exp(w z (2t)^j / 2), the type B block series."""
-    inv = invert_one_minus(T.monomial(trunc, 2, et=1))
-    pre = scale(mul(inv, inv), 2)
+    inv = invert_one_minus(T.monomial(trunc, 2, et=1), bound=bound)
+    pre = scale(mul(inv, inv, bound=bound), 2)
     arg = T.from_slices(trunc, [{}, {}] + [{(0, 1, 1): 2 ** (j - 1) * math.factorial(j)}
                                            for j in range(2, trunc + 1)])
-    return assert_degree_bounds(mul(pre, exp(arg)))
+    return assert_degree_bounds(mul(pre, exp(arg, bound=bound), bound=bound))
 
 
 def tilde_big_gamma(trunc: int) -> TruncatedSeries:

@@ -77,9 +77,10 @@ class BuildingElement:
     are reduced mod r and normalized so weights[0] == 0.  Strong elements
     carry empty weights.
 
-    The support bitmask and the lattice view are derived once per element,
-    on first use, and kept on it; they are not fields, so equality, hash
-    and order are those of the four fields alone.
+    The support bitmask, the lattice view and whether the fields have this
+    canonical form are derived once per element, on first use, and kept on
+    it; they are not fields, so equality, hash and order are those of the
+    four fields alone.
     """
 
     kind: str  # "strong" < "weak" alphabetically, giving strongs first in sort
@@ -125,6 +126,21 @@ class BuildingElement:
     def mask(self) -> int:
         """The support as a bitmask: bit x for coordinate x."""
         return sum(1 << x for x in self.support)
+
+    @functools.cached_property
+    def is_canonical(self) -> bool:
+        """The support strictly increasing; a strong element without
+        weights; a weak one with one weight per support point, weights[0]
+        == 0 and every weight in 0..r-1.  Any other spelling of a subspace,
+        such as unnormalised weights, would make one subspace two elements.
+        """
+        s, w = self.support, self.weights
+        if any(a >= b for a, b in zip(s, s[1:])):
+            return False
+        if self.kind == "strong":
+            return not w
+        return (self.kind == "weak" and len(w) == len(s) and w[:1] == (0,)
+                and all(0 <= a < self.r for a in w))
 
     @functools.cached_property
     def _view(self) -> "LatticeElement":
@@ -294,9 +310,9 @@ def comparable(a: BuildingElement, b: BuildingElement) -> bool:
 
 
 def element_in_building(e: BuildingElement, g: GroupId) -> bool:
-    """Structural membership test, independent of the building set's size."""
-    return (e.r == g.r and not e.mask & ~((2 << g.n) - 2)
-            and all(0 <= a < g.r for a in e.weights)
+    """Structural membership test, independent of the building set's size;
+    only an element in canonical form (is_canonical) is a member."""
+    return (e.is_canonical and e.r == g.r and not e.mask & ~((2 << g.n) - 2)
             and in_building(e.as_lattice(), g))
 
 

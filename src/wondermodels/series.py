@@ -20,11 +20,11 @@ recurrences of Knuth, TAOCP vol. 2, 4.7.  The z -> d/dt substitution and
 t-integration only move numerators between slices.
 
 Inside one product or recurrence the slices are keyed by a dense index.
-The call picks a box, top degrees Q-1 in q and Z-1 in z that no output
+The call picks a box, top degrees Q-1 in q and W-1 in w that no output
 term exceeds: the two operands' top degrees added for a product, and
 max_k trunc * deg(S_k) / k for a recurrence, whose A_n is a sum of
 products S_k1...S_kj with k1 + ... + kj = n.  q^eq z^ez w^ew gets index
-eq + Q*ez + Q*Z*ew, so in the box the product of two terms sits at the sum
+eq + Q*ew + Q*W*ez, so in the box the product of two terms sits at the sum
 of their indices with no carry, and an output slice accumulates in a list
 that is decoded once into the dict form.  A run, three or more consecutive
 indices with one coefficient (a q-run such as the q [i-2]_q of the block
@@ -40,16 +40,30 @@ are.  A recurrence puts S on the run side.  A product splits both
 operands and counts: the run side is the one whose updates (one per
 single term, two per run) times the other's term count is smaller.
 
-Truncation is driven by t alone: `slices` has trunc + 1 entries, and terms
-of any q/z/w degree are kept.  That bounds the whole computation because
-in every series this package builds, z and w only ever enter in the
-company of at least as many powers of t.
+Truncation is by t: `slices` has trunc + 1 entries, and terms of any
+q/z/w degree are kept.  That bounds the whole computation because in every
+series this package builds, z and w only ever enter in the company of at
+least as many powers of t.
+
+A product or recurrence may also take a grade bound.  A term's grade is
+t - z, its t-degree once z -> d/dt has run, and terms of grade above the
+bound are never formed in the result.  This is exact when no operand term
+has z > t, which a bounded call checks: grades add under a product, and so
+under each step of the recurrences, so with no negative grade a term above
+the bound can only lead to terms above it.  The one convolution loop does
+the dropping: output slice n keeps only z >= n - bound, so a term at z
+meets only the partners at z >= n - bound - z, and an operand term above
+the bound meets none.  z is the outermost digit of the dense index, so a
+partner slice in index order is in z order and those partners are a
+tail of it, found by bisection.  Without a bound, or with one of at
+least trunc, the tail is the whole slice.
 
 All arithmetic is exact; nothing here ever touches a float.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -232,72 +246,89 @@ def scale(s: TruncatedSeries, c) -> TruncatedSeries:
     return TruncatedSeries.from_slices(s.trunc, slices, s.den * c.denominator)
 
 
-# The dense index of the module docstring; w needs no bound in the box,
+# The dense index of the module docstring; z needs no bound in the box,
 # being its outermost digit.
 
 _second = operator.itemgetter(1)
 
 
-def _top_qz(slices) -> tuple[int, int]:
-    """Top q and z degree over the given slices; (0, 0) if all are empty."""
+def _top_qw(slices) -> tuple[int, int]:
+    """Top q and w degree over the given slices; (0, 0) if all are empty."""
     monomials = list(itertools.chain.from_iterable(slices))
     if not monomials:
         return 0, 0
-    qs, zs, _ = zip(*monomials)
-    return max(qs), max(zs)
+    qs, _, ws = zip(*monomials)
+    return max(qs), max(ws)
 
 
-def _indexed(slices: list[Slice], Q: int, QZ: int):
-    """An operand of _convolve: its slices keyed by dense index; for each
+def _check_grades(slices: list[Slice]) -> None:
+    """ValueError if a term has z > t, that is negative grade t - z: its
+    product with a term above a grade bound could land at or below it."""
+    for et, sl in enumerate(slices):
+        if any(ez > et for _, ez, _ in sl):
+            raise ValueError(f"a grade bound needs z <= t on every term, broken at t^{et}")
+
+
+def _indexed(slices: list[Slice], Q: int, QW: int):
+    """An operand of _convolve, its slices keyed by dense index: each
+    slice as its (i, c) pairs by ascending i, so by ascending z; for each
     n the top index among the first n + 1 of them (-1 while all are
-    empty); and, for each nonempty slice k in ascending order, k with the
-    slice split into single terms [(i, c)] and runs [(start, stop, c)].
+    empty); and, for each nonempty slice k in ascending order and each z
+    in it, ascending, a group (k, z, single terms [(i, c)], runs
+    [(start, stop, c)]).
 
-    A run is three or more consecutive indices start..stop-1 that share
-    one coefficient (two cost as many updates as two single terms), such
-    as the q exponents of q [j]_q at one z and w.  Each term is looked up
-    at most twice.
+    A run is three or more consecutive indices start..stop-1 at one z
+    that share one coefficient (two cost as many updates as two single
+    terms), such as the q exponents of q [j]_q at one z and w.  Each term
+    is looked up at most twice.
     """
-    X, tops, split, top = [], [], [], -1
+    Y, tops, split, top = [], [], [], -1
     for k, sl in enumerate(slices):
-        x = {eq + Q * ez + QZ * ew: c for (eq, ez, ew), c in sl.items()}
-        X.append(x)
-        if x:
-            top = max(top, max(x))
-            points, runs = [], []
-            get = x.get
-            for i, c in x.items():
-                if get(i - 1) != c:
-                    j = i + 1
-                    while get(j) == c:
-                        j += 1
-                    if j - i > 2:
-                        runs.append((i, j, c))
-                    else:
-                        points += [(m, c) for m in range(i, j)]
-            split.append((k, points, runs))
+        x = {eq + Q * ew + QW * ez: c for (eq, ez, ew), c in sl.items()}
+        y = sorted(x.items())
+        Y.append(y)
+        if y:
+            top = max(top, y[-1][0])
+        get, group = x.get, (k, -1)
+        for i, c in y:
+            if i % QW and get(i - 1) == c:
+                continue  # inside a run
+            if i // QW != group[1]:
+                group = (k, i // QW, [], [])
+                split.append(group)
+            j = i + 1
+            while j % QW and get(j) == c:
+                j += 1
+            if j - i > 2:
+                group[3].append((i, j, c))
+            else:
+                group[2].extend((m, c) for m in range(i, j))
         tops.append(top)
-    return X, tops, split
+    return Y, tops, split
 
 
-def _convolve(X, Y: list[dict[int, int]], n: int, weight, top: int):
-    """Numerators at dense indices 0..top of sum_k weight(n, k) X_k Y_(n-k).
+def _convolve(X, Y, n: int, weight, top: int, lo: int, QW: int):
+    """Numerators at dense indices 0..top of sum_k weight(n, k) X_k Y_(n-k),
+    over the pairs of terms whose product has z >= lo.
 
-    X is split as by _indexed.  A run times a term is a run again,
-    shifted by the term's index: its coefficient goes into a difference
-    array at the shifted start and out at the shifted stop, and the array
-    is made when the first run is met.  The box keeps every stop within
-    its top + 2 entries.
+    X is split into groups as by _indexed, and each Y_m is a list of
+    (i, c) by ascending i: a term of X at z meets the partners at z >=
+    lo - z, the tail of the list from index (lo - z) * QW on.  A run times
+    a term is a run again, shifted by the term's index: its coefficient
+    goes into a difference array at the shifted start and out at the
+    shifted stop, and the array is made when the first run is met.  The
+    box keeps every stop within its top + 2 entries.
     """
     acc, diff = [0] * (top + 1), None
-    for k, points, runs in X:
+    for k, z, points, runs in X:
         if k > n:
             break
         y = Y[n - k]
+        if z < lo:
+            y = y[bisect.bisect_left(y, ((lo - z) * QW,)):]
         if not y:
             continue
         c = weight(n, k)
-        y = y.items()
         for i1, c1 in points:
             c1 *= c
             for i2, c2 in y:
@@ -313,28 +344,35 @@ def _convolve(X, Y: list[dict[int, int]], n: int, weight, top: int):
     return acc if diff is None else map(operator.add, acc, itertools.accumulate(diff))
 
 
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+def mul(a: TruncatedSeries, b: TruncatedSeries, *,
+        bound: int | None = None) -> TruncatedSeries:
     """Product, truncated in t: C_n = sum_k binom(n, k) A_k B_(n-k).
 
     Both operands are split into single terms and runs, and the run side
     is the one whose updates times the other's term count is smaller, on
     a tie the one with fewer terms; binom(n, k) is symmetric, so the
-    sides may swap.
+    sides may swap.  With a bound below trunc, the product's terms of
+    grade above it are never formed: the product is the plain one
+    without them.
     """
     trunc = _same_trunc(a, b)
-    (qa, za), (qb, zb) = _top_qz(a.slices), _top_qz(b.slices)
-    Q, Z = qa + qb + 1, za + zb + 1
-    QZ = Q * Z
-    (A, ta, RA), (B, tb, RB) = _indexed(a.slices, Q, QZ), _indexed(b.slices, Q, QZ)
+    bound = trunc if bound is None else min(bound, trunc)
+    if bound < trunc:
+        _check_grades(a.slices)
+        _check_grades(b.slices)
+    (qa, wa), (qb, wb) = _top_qw(a.slices), _top_qw(b.slices)
+    Q = qa + qb + 1
+    QW = Q * (wa + wb + 1)
+    (A, ta, RA), (B, tb, RB) = _indexed(a.slices, Q, QW), _indexed(b.slices, Q, QW)
     # updates per term of the other side: one per single term, two per run
-    ua, ub = (sum(len(p) + 2 * len(r) for _, p, r in R) for R in (RA, RB))
+    ua, ub = (sum(len(p) + 2 * len(r) for _, _, p, r in R) for R in (RA, RB))
     na, nb = sum(map(len, A)), sum(map(len, B))
     X, Y = (RA, B) if (ua * nb, na) <= (ub * na, nb) else (RB, A)
     slices = []
     # C_n has no index above the top indices of A_0..A_n and B_0..B_n added
     for n, top in enumerate(map(operator.add, ta, tb)):
-        slices.append({(i % Q, i // Q % Z, i // QZ): v
-                       for i, v in enumerate(_convolve(X, Y, n, math.comb, top)) if v})
+        slices.append({(i % Q, i // QW, i % QW // Q): v for i, v in
+                       enumerate(_convolve(X, Y, n, math.comb, top, n - bound, QW)) if v})
     return TruncatedSeries.from_slices(trunc, slices, a.den * b.den)
 
 
@@ -346,16 +384,21 @@ def _require_positive_t_valuation(s: TruncatedSeries, op: str) -> None:
                          f"found q^{eq} z^{ez} w^{ew} term")
 
 
-def _recurrence(s: TruncatedSeries, weight) -> TruncatedSeries:
+def _recurrence(s: TruncatedSeries, weight, bound: int | None) -> TruncatedSeries:
     """A with A_0 = 1 and A_n = sum_{k=1..n} weight(n, k) S_k A_(n-k).
 
     With S_k = s_k / D, degree n of A carries D^n: its numerators obey
     a_n = sum weight(n, k) (s_k D^(k-1)) a_(n-k), and are brought to the
     common denominator D^trunc at the end.  S sits on the run side, and
-    each A_n stays indexed until the end.
+    each A_n stays indexed until the end.  With a bound below trunc, no
+    term of A_n of grade above it is formed, as in mul; a term of S has
+    grade >= 0, so none of them could have led back below.
     """
     trunc, D = s.trunc, s.den
     S = s.slices
+    bound = trunc if bound is None else min(bound, trunc)
+    if bound < trunc:
+        _check_grades(S)
     if D != 1:
         S = [{k: v * D ** (m - 1) for k, v in sl.items()} if m else sl
              for m, sl in enumerate(S)]
@@ -364,41 +407,40 @@ def _recurrence(s: TruncatedSeries, weight) -> TruncatedSeries:
     # so its degree is at most n * deg(S_k) / k for some k (the largest
     # key of a slice has its top q, keys comparing q first)
     Q = 1 + max([trunc * max(S[k])[0] // k for k in support], default=0)
-    Z = 1 + max([trunc * max(map(_second, S[k])) // k for k in support], default=0)
-    QZ = Q * Z
-    _, tx, X = _indexed(S, Q, QZ)
-    A: list[dict[int, int]] = [{0: 1}]
+    W = 1 + max([trunc * max(m[2] for m in S[k]) // k for k in support], default=0)
+    QW = Q * W
+    _, tx, X = _indexed(S, Q, QW)
+    A = [[(0, 1)]]  # each A_n as its (i, c) pairs by ascending i
     ta = 0  # top index of A_0..A_(n-1)
     for n in range(1, trunc + 1):
-        a_n = dict(filter(_second, enumerate(_convolve(X, A, n, weight, tx[n] + ta))))
-        if a_n:  # keys ascend, so the last one is the top
-            last = next(reversed(a_n))
-            if last > ta:
-                ta = last
+        a_n = list(filter(_second, enumerate(
+            _convolve(X, A, n, weight, tx[n] + ta, n - bound, QW))))
+        if a_n and a_n[-1][0] > ta:
+            ta = a_n[-1][0]
         A.append(a_n)
-    slices = [{(i % Q, i // Q % Z, i // QZ): v for i, v in a_n.items()} for a_n in A]
+    slices = [{(i % Q, i // QW, i % QW // Q): v for i, v in a_n} for a_n in A]
     if D != 1:
         slices = [{k: v * D ** (trunc - n) for k, v in sl.items()}
                   for n, sl in enumerate(slices)]
     return TruncatedSeries.from_slices(trunc, slices, D ** trunc)
 
 
-def exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp(s) for s with zero constant term.
+def exp(s: TruncatedSeries, *, bound: int | None = None) -> TruncatedSeries:
+    """exp(s) for s with zero constant term; a bound as in mul.
 
     From A' = S' A: A_n = sum_{k>=1} binom(n-1, k-1) S_k A_(n-k).
     """
     _require_positive_t_valuation(s, "exp")
-    return _recurrence(s, lambda n, k: math.comb(n - 1, k - 1))
+    return _recurrence(s, lambda n, k: math.comb(n - 1, k - 1), bound)
 
 
-def invert_one_minus(s: TruncatedSeries) -> TruncatedSeries:
-    """1 / (1 - s) for s with zero constant term.
+def invert_one_minus(s: TruncatedSeries, *, bound: int | None = None) -> TruncatedSeries:
+    """1 / (1 - s) for s with zero constant term; a bound as in mul.
 
     From A = 1 + S A: A_n = sum_{k>=1} binom(n, k) S_k A_(n-k).
     """
     _require_positive_t_valuation(s, "invert_one_minus")
-    return _recurrence(s, math.comb)
+    return _recurrence(s, math.comb, bound)
 
 
 def q_analog(j: int) -> dict[int, int]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,87 @@ def test_poincare_seed_guard_below_one_is_a_bad_argument(capsys, guard, method):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert f"--seed-guard must be at least 1, got {guard}" in captured.err
+
+
+# one query per cap, and B and D each under their shared one
+SERIES_GUARD_QUERIES = [
+    (("poincare", "r=1"), ["poincare", "--method", "series"]),
+    (("poincare", "r>=2"), ["poincare", "--r", "3", "--p", "3", "--method", "both"]),
+    (("fvector", "A"), ["fvector", "--type", "A", "--method", "series"]),
+    (("fvector", "B, D"), ["fvector", "--type", "B", "--method", "both"]),
+    (("fvector", "B, D"), ["fvector", "--type", "D", "--method", "series"]),
+    (("euler", "A"), ["euler", "--type", "A"]),
+    (("euler", "B, D"), ["euler", "--type", "B"]),
+    (("euler", "B, D"), ["euler", "--type", "D"]),
+]
+# the largest n of each family that a frozen byte gate asks for, and the
+# largest r of a frozen poincare query
+FROZEN_SERIES_N = {("poincare", "r=1"): 70, ("poincare", "r>=2"): 40,
+                   ("fvector", "A"): 40, ("fvector", "B, D"): 60,
+                   ("euler", "A"): 60, ("euler", "B, D"): 40}
+FROZEN_POINCARE_R = 5
+
+
+def test_every_series_family_has_a_cap_above_its_frozen_queries():
+    assert sorted(cli.SERIES_N_GUARD) == sorted({key for key, _ in SERIES_GUARD_QUERIES}) \
+        == sorted(FROZEN_SERIES_N)
+    for key, n in FROZEN_SERIES_N.items():
+        assert cli.SERIES_N_GUARD[key] > n, key
+    assert cli.SERIES_R_GUARD > FROZEN_POINCARE_R
+
+
+def no_series_built(monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was built")
+    for name in ("mul", "exp", "invert_one_minus"):
+        monkeypatch.setattr(f"wondermodels.series.{name}", no_series)
+        monkeypatch.setattr(f"wondermodels.formulas.{name}", no_series)
+
+
+@pytest.mark.parametrize("key, argv", SERIES_GUARD_QUERIES,
+                         ids=[" ".join(argv[:3]) for _, argv in SERIES_GUARD_QUERIES])
+def test_series_verbs_refuse_n_above_their_cap(capsys, key, argv, monkeypatch):
+    # the refusal comes before any series is built
+    no_series_built(monkeypatch)
+    n = str(cli.SERIES_N_GUARD[key] + 1)
+    code = cli.main(argv + ["--n", n])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"answers n <= {cli.SERIES_N_GUARD[key]} for {key[1]}" in captured.err
+
+
+@pytest.mark.parametrize("r", [cli.SERIES_R_GUARD + 1, 10 ** 1000], ids=["cap+1", "10**1000"])
+@pytest.mark.parametrize("method", ["series", "both"])
+def test_poincare_by_series_refuses_r_above_its_cap(capsys, r, method, monkeypatch):
+    # the coefficients grow with r, so n alone does not bound the cost
+    no_series_built(monkeypatch)
+    code = cli.main(["poincare", "--r", str(r), "--p", "1", "--n", "3", "--method", method])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"answers r <= {cli.SERIES_R_GUARD}, got r = {r}" in captured.err
+
+
+def test_poincare_by_series_answers_at_the_r_cap(capsys):
+    code, out = run_cli(capsys, "poincare", "--r", str(cli.SERIES_R_GUARD), "--p", "1",
+                        "--n", "3", "--method", "series")
+    assert code == 0 and out
+
+
+def test_series_guard_refuses_in_a_fresh_process():
+    # each query would run for hours by series; the refusal exits at once.
+    # The in-process tests above show that no series is built, so the time
+    # bound is generous: it holds interpreter start on a loaded host.
+    for argv in (["poincare", "--n", "100000", "--method", "series"],
+                 ["poincare", "--r", "1000000", "--n", "80", "--method", "series"],
+                 ["fvector", "--type", "D", "--n", "100000", "--method", "series"],
+                 ["euler", "--type", "B", "--n", "100000"]):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "wondermodels", *argv],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 3 and proc.stdout == "", argv
+        assert "guard violation" in proc.stderr
+        assert elapsed < 10.0, (argv, elapsed)
 
 
 def test_poincare_bad_group(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from wondermodels.formulas import (
     D3_DEGENERATE_NOTE,
+    _x_source,
     big_gamma,
     cal_k,
     euler_from_bd,
@@ -348,3 +349,24 @@ def test_poincare_from_psi_sums_every_z_slice():
                 c = coeff(psi, eq=eq, et=n + s - 1, ez=s) * math.factorial(n + s - 1)
                 want[eq] = want.get(eq, 0) + c
         assert poincare_from_psi(n).coeffs == {eq: c for eq, c in want.items() if c}, n
+
+
+SOURCES = ([("psi", psi_series), ("X source", _x_source), ("tildeGamma source", tilde_gamma)]
+           + [(f"K r={r}", lambda trunc, bound=None, r=r: k_series(r, trunc, bound=bound))
+              for r in range(1, 5)]
+           + [(f"gamma r={r}{' literal' * lit}",
+               lambda trunc, bound=None, r=r, lit=lit: gamma_series(r, trunc, lit, bound=bound))
+              for r in range(1, 5) for lit in (False, True)])
+
+
+@pytest.mark.parametrize("trunc", range(1, 15))
+def test_bounded_sources_drop_exactly_the_grades_above(trunc):
+    # each source of z -> d/dt built with grade bound d is the whole source
+    # without its terms of grade t - z above d
+    for name, build in SOURCES:
+        whole = build(trunc)
+        for d in range(trunc + 1):
+            want = TruncatedSeries.from_slices(
+                trunc, [{m: v for m, v in sl.items() if et - m[1] <= d}
+                        for et, sl in enumerate(whole.slices)], whole.den)
+            assert build(trunc, bound=d) == want, (name, d)

@@ -243,6 +243,33 @@ def test_is_nested_rejects_foreign_elements():
         is_nested({W((1, 2), (0, 1), 2)}, GroupId(1, 1, 3))
 
 
+MALFORMED = [
+    BuildingElement("weak", (1, 2), (1, 0), 3),     # W((1, 2), (0, 2), 3) unnormalised
+    BuildingElement("weak", (1, 2, 3), (0, 1), 3),  # fewer weights than points
+    BuildingElement("weak", (2, 1), (0, 1), 3),     # unsorted support
+    BuildingElement("strong", (1, 2), (0, 0), 3),   # a zero set with weights
+    BuildingElement("strong", (2, 1), (), 3),       # unsorted support
+    BuildingElement("strong", (1, 1, 2), (), 3),    # repeated coordinate
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED, ids=repr)
+def test_predicates_refuse_elements_out_of_canonical_form(bad):
+    # a second spelling of a subspace would make one subspace two members:
+    # is_nested and is_nested_def once disagreed on the first pair below
+    g = GroupId(3, 1, 3)
+    assert not element_in_building(bad, g)
+    for s in ([bad], [bad, W((1, 2), (0, 2), 3)]):
+        with pytest.raises(ValueError):
+            is_nested(s, g)
+        with pytest.raises(ValueError):
+            is_nested_def(s, g)
+    with pytest.raises(ValueError):
+        d_value([bad], S((1, 2, 3), 3), g)
+    with pytest.raises(ValueError):
+        d_value([], bad, g)
+
+
 def test_is_nested_type_a_basics():
     g = GroupId(1, 1, 4)
     a, b = W((1, 2), (0, 0), 1), W((2, 3), (0, 0), 1)

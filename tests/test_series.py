@@ -489,3 +489,65 @@ for bad in (lambda: assert_degree_bounds(T.monomial(4, 1, et=1, ez=2)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised"] * 3
+
+
+def above_grade_dropped(s, bound):
+    """s without its terms of grade t - z above bound."""
+    return T.from_slices(s.trunc, [{m: v for m, v in sl.items() if et - m[1] <= bound}
+                                   for et, sl in enumerate(s.slices)], s.den)
+
+
+@st.composite
+def bounded_operands(draw):
+    """Two series with z <= t on every term, one of them holding runs, and
+    a grade bound from 0 to past their truncation."""
+    trunc = draw(st.integers(1, 5))
+    runs = draw(run_series(trunc))
+    plain = add(draw(small_series(trunc)), T.monomial(trunc, draw(st.integers(-3, 3)), eq=1))
+    a, b = (runs, plain) if draw(st.booleans()) else (plain, runs)
+    return a, b, draw(st.integers(0, trunc + 2))
+
+
+@given(bounded_operands())
+@settings(max_examples=150, deadline=None)
+def test_bounded_kernel_is_the_plain_one_without_the_grades_above(abk):
+    a, b, bound = abk
+    assert mul(a, b, bound=bound) == above_grade_dropped(mul(a, b), bound)
+    assert mul(a, a, bound=bound) == above_grade_dropped(mul(a, a), bound)
+    for s in (a, b):
+        s = T.from_slices(s.trunc, [{}] + s.slices[1:], s.den)  # no t-free term
+        assert exp(s, bound=bound) == above_grade_dropped(exp(s), bound)
+        assert (invert_one_minus(s, bound=bound)
+                == above_grade_dropped(invert_one_minus(s), bound))
+
+
+@given(series_tuple(2), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_a_bound_of_trunc_or_more_changes_nothing(ab, extra):
+    a, b = ab
+    bound = a.trunc + extra
+    assert mul(a, b, bound=bound) == mul(a, b)
+    assert exp(a, bound=bound) == exp(a)
+    assert invert_one_minus(a, bound=bound) == invert_one_minus(a)
+
+
+def test_a_run_stops_at_a_z_boundary_of_the_index():
+    # q^0..q^2 at z = 0 and at z = 1 share one coefficient and, with q the
+    # inner digit of a box three wide, sit at six consecutive indices; the
+    # bound keeps z = 1 alone, so a run across the boundary would keep both
+    s = T.from_slices(3, [{}, {}, {}, {(eq, ez, 0): 1 for eq in range(3) for ez in (0, 1)}])
+    kept = T.from_slices(3, [{}, {}, {}, {(eq, 1, 0): 1 for eq in range(3)}])
+    assert mul(s, T.one(3), bound=2) == kept
+    assert exp(s, bound=2) == add(T.one(3), kept)
+
+
+def test_a_bound_below_trunc_needs_z_at_most_t():
+    # a term of negative grade times one above the bound lands below it,
+    # so dropping the latter would be wrong; without a bound z > t is fine
+    low = T.monomial(4, 1, et=1, ez=2)
+    high = T.monomial(4, 1, et=3)
+    assert mul(low, high) == T.monomial(4, 1, et=4, ez=2)
+    for bad in (lambda: mul(low, high, bound=2), lambda: exp(low, bound=1),
+                lambda: invert_one_minus(low, bound=3)):
+        with pytest.raises(ValueError, match="z <= t"):
+            bad()

@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import wondermodels.cli as cli
 
 FROZEN = Path(__file__).resolve().parent / "data" / "series_dump.json"
@@ -42,6 +44,17 @@ def test_series_dump_matches_frozen_digests():
     frozen = json.loads(FROZEN.read_text())
     assert len(frozen) == len(cli.SERIES_REGISTRY) * len(RS) * len(TRUNCS)
     assert all_digests() == frozen
+
+
+@pytest.mark.parametrize("name", ["psi", "K", "gamma"])
+def test_dumped_sources_keep_every_grade(name):
+    # the z -> d/dt step builds these with a grade bound; series-dump prints
+    # them whole, every grade t - z up to trunc
+    for r in RS:
+        for trunc in TRUNCS:
+            s = cli.SERIES_REGISTRY[name](r, trunc)
+            grades = {et - ez for et, sl in enumerate(s.slices) for _, ez, _ in sl}
+            assert grades == set(range(min(grades), trunc + 1)), (r, trunc)
 
 
 if __name__ == "__main__":

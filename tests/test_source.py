@@ -78,3 +78,17 @@ def test_one_substitution_step_in_the_formula_layer():
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name))
     assert calls["subst_z_derivative"] == 1
     assert calls["integrate_t"] == 1
+
+
+def test_a_grade_bound_is_only_forwarded():
+    # builders and kernel calls pass on the bound they were given, so the
+    # one place that sets a grade bound is _substituted's call of its source:
+    # dumps and readouts get every grade
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                found += [f"{path.name}:{node.lineno}" for kw in node.keywords
+                          if kw.arg == "bound" and not (isinstance(kw.value, ast.Name)
+                                                        and kw.value.id == "bound")]
+    assert found == []
