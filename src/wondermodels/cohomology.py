@@ -191,6 +191,11 @@ class Part:
     weights: tuple[int, ...]  # aligned with members
     exponent: int
 
+    def __post_init__(self):
+        if len(self.members) != len(self.weights):
+            raise MalformedPartition(f"{len(self.members)} members but "
+                                     f"{len(self.weights)} weights")
+
     def weight_of(self, m: int) -> int:
         return self.weights[self.members.index(m)]
 

@@ -106,9 +106,10 @@ class BuildingElement:
             raise ValueError("weak element needs >= 2 coordinates >= 1")
         if not isinstance(weights, dict):
             weights = dict(zip(coords, weights, strict=True))
-        wlist = [weights[i] for i in support]
-        shift = wlist[0]
-        return cls("weak", support, tuple((a - shift) % r for a in wlist), r)
+        missing = [i for i in support if i not in weights]
+        if missing:
+            raise ValueError(f"no weight for coordinate {missing[0]}")
+        return cls("weak", *_normalize_block({i: weights[i] for i in support}, r), r)
 
     @property
     def is_strong(self) -> bool:
@@ -355,13 +356,14 @@ def bits(mask: int):
 
 
 class _NestedUniverse:
-    """The nested-set rule over a tuple of building elements, in the order
-    the caller gives them; element i is bit i of every mask.
+    """The pairwise nested-set rule over a tuple of building elements, in
+    the order the caller gives them; element i is bit i of every mask.
 
     Pairs must be comparable or span a direct sum whose join leaves the
-    building set; for G(2,2,n) one global rule comes on top (see
-    _antiparallel_rule).  Pairwise bitmasks, built once, drive both the
-    candidate-set walk of nested_masks and is_nested.
+    building set.  Pairwise bitmasks, built once, drive both the clique
+    walk of nested_masks and is_nested.  For G(2,2,n) one global rule
+    comes on top; its one home is _nested_universe, and partner holds the
+    twins it reads.
 
     The build decides the incomparable pairs on disjoint supports by the
     join of the two elements' lattice views, which each element builds
@@ -377,11 +379,13 @@ class _NestedUniverse:
         is in the building set too when the union has min_zero_set
         points: 1 for p < r; 2 for p = r >= 3, and every member has two;
         3 for G(2,2,n), whose zero sets have three.  The one exception is
-        the antiparallel twins of G(2,2,n), two blocks on one 2-point
-        support: their join is a 2-point zero set, outside the building
-        set, so the pair is nested; partners are left to the join.
+        the twins of G(2,2,n), the two blocks on one 2-point support:
+        their join is a 2-point zero set, outside the building set, so
+        the pair is nested; twins are left to the join.
     Both skips are exact: every pair the screens leave is decided as
-    before, and the tables come out bit for bit the same.
+    before, and the tables come out bit for bit the same.  A pair left
+    to the join has disjoint supports or is a twin pair, and either
+    joins to a direct sum, so only membership is asked of the join.
     """
 
     def __init__(self, g: GroupId, elems: tuple[BuildingElement, ...]):
@@ -390,24 +394,14 @@ class _NestedUniverse:
         self.dims = dims = [e.dimension() for e in elems]
         self.ok = ok = [0] * nb          # bit j: the pair {i,j} is nested
         self.below = below = [0] * nb    # bit j: elems[j] strictly inside elems[i]
-        # data for the G(2,2,n) global rule; partner also exempts the
-        # twins from the meeting-support screen below
-        self.rr2 = g.variant is Variant.RR and g.r == 2
-        self.partner = partner = [-1] * nb
-        self.strong_mask = 0
-        self.covers_anti = [0] * nb  # bit j: strong elems[j] contains elems[i]
-        if self.rr2:
-            by_support: dict[tuple[int, ...], list[int]] = {}
+        self.partner = partner = [-1] * nb  # the G(2,2,n) twin of elems[i]
+        if g.variant is Variant.RR and g.r == 2:
+            first: dict[tuple[int, ...], int] = {}
             for i, e in enumerate(elems):
-                if e.is_strong:
-                    self.strong_mask |= 1 << i
-                else:
-                    by_support.setdefault(e.support, []).append(i)
-            for idxs in by_support.values():
-                if len(idxs) == 2:
-                    a, b = idxs
-                    partner[a] = b
-                    partner[b] = a
+                if not e.is_strong and len(e.support) == 2:
+                    j = first.setdefault(e.support, i)
+                    if j != i:
+                        partner[i], partner[j] = j, i
         for i in range(nb):
             a, da, pa = elems[i], dims[i], partner[i]
             ma, va = a.mask, a.as_lattice()
@@ -420,47 +414,17 @@ class _NestedUniverse:
                     below[j] |= 1 << i
                 elif ma & mb and j != pa:
                     continue  # the join is one component, back in the set
-                else:
-                    # incomparable members of a nested set span a direct
-                    # sum that is not itself in the building set
-                    joined = join(va, b.as_lattice())
-                    if in_building(joined, g) or joined.dimension() != da + db:
-                        continue
+                elif in_building(join(va, b.as_lattice()), g):
+                    continue
                 ok[i] |= 1 << j
                 ok[j] |= 1 << i
-        if self.rr2:
-            for j in bits(self.strong_mask):
-                for i in bits(self.below[j]):
-                    self.covers_anti[i] |= 1 << j
-
-    def _antiparallel_rule(self, i: int, mask: int, anti: int):
-        """The G(2,2,n) global rule for adding elems[i] to the nested set mask.
-
-        Two blocks on one support with different twists are antiparallel.
-        A nested set holds at most one antiparallel pair, and each of its
-        strong elements contains that pair's support: any antichain through
-        two antiparallel pairs, or one pair plus a disjoint zero set, joins
-        into a single zero set of size >= 3, which is back in the building
-        set even though every pair looks fine.  anti is the bitmask of the
-        pair inside mask (0 if none).  Returns the pair's bitmask after the
-        addition, or None when the addition breaks the rule; outside
-        G(2,2,n) the rule is void and anti comes back unchanged.
-        """
-        if not self.rr2:
-            return anti
-        if self.partner[i] >= 0 and mask >> self.partner[i] & 1:
-            # this addition completes an antiparallel pair
-            if anti or mask & self.strong_mask & ~self.covers_anti[i]:
-                return None
-            return 1 << i | 1 << self.partner[i]
-        if anti and self.elems[i].is_strong:
-            low = (anti & -anti).bit_length() - 1
-            if not self.covers_anti[low] >> i & 1:
-                return None
-        return anti
 
     def nested_masks(self, veto=None):
-        """All nested subsets as bitmasks, in lexicographic index order.
+        """All cliques of the pair table as bitmasks, in lexicographic
+        index order: the nested subsets of a universe without twins.
+        A universe that holds a G(2,2,n) twin pair is refused with
+        ValueError, since the global rule of _nested_universe would cut
+        some of its cliques.
 
         Each set is extended only by the candidates it carries: the
         elements after its last member that pair well with every member,
@@ -473,34 +437,44 @@ class _NestedUniverse:
         at once by the yield of newmask, before any other veto call, so
         the veto may leave per-member data for the consumer to read.
         """
-        def dfs(cand: int, mask: int, anti: int):
+        if any(j >= 0 for j in self.partner):
+            raise ValueError("the universe holds G(2,2,n) twins, whose "
+                             "global rule the clique walk does not apply")
+        ok = self.ok
+
+        def dfs(cand: int, mask: int):
             yield mask
             for i in bits(cand):
                 cand ^= 1 << i  # bits() walks its own copy; cand keeps what follows i
-                new_anti = self._antiparallel_rule(i, mask, anti)
-                if new_anti is None:
-                    continue
                 newmask = mask | 1 << i
                 if veto is not None and veto(i, newmask):
                     continue
-                yield from dfs(cand & self.ok[i], newmask, new_anti)
+                yield from dfs(cand & ok[i], newmask)
 
-        yield from dfs((1 << len(self.elems)) - 1, 0, 0)
+        return dfs((1 << len(self.elems)) - 1, 0)
 
 
 def _nested_universe(s, g: GroupId) -> _NestedUniverse | None:
     """The universe over the sorted members of s when s is nested, else
-    None: the set is built up one element at a time in sorted order, the
-    path on which nested_masks reaches it."""
+    None.
+
+    Every pair must be nested.  For G(2,2,n) the one global rule comes on
+    top, and this is its home: a nested set holds at most one twin pair,
+    and each of its strong members contains that pair's support.  Any
+    antichain through two twin pairs, or through one pair and a zero set
+    that misses its support, joins into a single zero set of size >= 3,
+    which is back in the building set although every pair looks fine.
+    """
     uni = _NestedUniverse(g, _check_membership(s, g))
-    mask = anti = 0
-    for i in range(len(uni.elems)):
-        if mask & ~uni.ok[i]:
-            return None
-        anti = uni._antiparallel_rule(i, mask, anti)
-        if anti is None:
-            return None
-        mask |= 1 << i
+    full = (1 << len(uni.elems)) - 1
+    if any(ok | 1 << i != full for i, ok in enumerate(uni.ok)):
+        return None
+    twins = [i for i, j in enumerate(uni.partner) if j >= 0]
+    if len(twins) > 2:
+        return None
+    if twins and any(e.is_strong and not uni.below[j] >> twins[0] & 1
+                     for j, e in enumerate(uni.elems)):
+        return None
     return uni
 
 

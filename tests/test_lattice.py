@@ -32,10 +32,41 @@ W = BuildingElement.weak
 S = BuildingElement.strong
 
 
+def oracle_nested_masks(uni):
+    """Every nested subset of the universe as a bitmask, in lexicographic
+    index order, by the incremental walk: a clique walk of uni.ok that
+    applies the G(2,2,n) global rule as each element joins.  A nested set
+    holds at most one twin pair, and each of its strong members contains
+    that pair's support.  The oracle for walks over building sets that
+    hold twins, which nested_masks refuses."""
+    strong = sum(1 << j for j, e in enumerate(uni.elems) if e.is_strong)
+    covers = [0] * len(uni.elems)  # bit j: strong elems[j] contains elems[i]
+    for j in bits(strong):
+        for i in bits(uni.below[j]):
+            covers[i] |= 1 << j
+
+    def dfs(cand, mask, pair):  # pair: a member of the set's twin pair, or -1
+        yield mask
+        for i in bits(cand):
+            cand ^= 1 << i
+            twin = uni.partner[i]
+            if twin >= 0 and mask >> twin & 1:
+                if pair >= 0 or mask & strong & ~covers[i]:
+                    continue
+                new_pair = i
+            elif pair >= 0 and strong >> i & 1 and not covers[pair] >> i & 1:
+                continue
+            else:
+                new_pair = pair
+            yield from dfs(cand & uni.ok[i], mask | 1 << i, new_pair)
+
+    yield from dfs((1 << len(uni.elems)) - 1, 0, -1)
+
+
 def nested_sets(g):
     """Every nested subset of the building set of g, as an element tuple."""
     uni = _NestedUniverse(g, building_set(g))
-    for mask in uni.nested_masks():
+    for mask in oracle_nested_masks(uni):
         yield tuple(e for i, e in enumerate(uni.elems) if mask >> i & 1)
 
 
@@ -74,6 +105,11 @@ def test_weak_refuses_a_repeated_coordinate():
         W((1, 2, 1), (0, 1, 0), 3)
     with pytest.raises(ValueError, match="repeated coordinate"):
         W((2, 1, 2), {1: 0, 2: 1}, 3)
+
+
+def test_weak_refuses_a_weight_dict_without_a_support_coordinate():
+    with pytest.raises(ValueError, match="^no weight for coordinate 3$"):
+        W((1, 2, 3), {1: 0, 2: 1}, 3)
 
 
 def test_text_forms():
@@ -345,6 +381,48 @@ def test_enumerate_nested_sets_order_and_content():
         assert is_nested(set(ns), g)
 
 
+def test_nested_masks_refuses_a_universe_with_twins():
+    # the clique walk does not apply the G(2,2,n) global rule, so it walks
+    # no universe the rule could cut
+    g = GroupId(2, 2, 3)
+    twins = (W((1, 2), (0, 0), 2), W((1, 2), (0, 1), 2))
+    for elems in (building_set(g), twins):
+        with pytest.raises(ValueError, match="twins"):
+            _NestedUniverse(g, elems).nested_masks()
+    # one block of the pair is no twin; the walk goes ahead
+    assert list(_NestedUniverse(g, twins[:1]).nested_masks()) == [0, 1]
+
+
+def test_is_nested_on_every_clique_is_the_incremental_walk():
+    # the global rule, stated once for the whole set, cuts the cliques of
+    # the pair table that the incremental walk of the oracle never reaches
+    g = GroupId(2, 2, 5)
+    uni = _NestedUniverse(g, building_set(g))
+    walked = set(oracle_nested_masks(uni))
+    cliques = nested = 0
+    stack = [((1 << len(uni.elems)) - 1, 0)]
+    while stack:
+        cand, mask = stack.pop()
+        members = [uni.elems[i] for i in bits(mask)]
+        assert is_nested(members, g) == (mask in walked), members
+        cliques += 1
+        nested += mask in walked
+        for i in bits(cand):
+            cand ^= 1 << i
+            stack.append((cand & uni.ok[i], mask | 1 << i))
+    assert (cliques, nested, len(walked)) == (17544, 16964, 16964)
+
+
+@pytest.mark.parametrize("rpn", [(1, 1, 5), (2, 1, 4), (3, 1, 3), (3, 3, 4)],
+                         ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_nested_masks_is_the_oracle_without_twins(rpn):
+    # outside G(2,2,n) the global rule is void, and the clique walk is the
+    # whole nested-set walk
+    g = GroupId(*rpn)
+    uni = _NestedUniverse(g, building_set(g))
+    assert list(uni.nested_masks()) == list(oracle_nested_masks(uni))
+
+
 def test_enumerate_nested_sets_guard():
     # the building-set guard of the nested-set walk, reached through its caller
     with pytest.raises(GuardExceeded):  # |B| = 96
@@ -398,7 +476,7 @@ def test_d_values_from_maximal_members_match_the_join(rpn):
     # inside each element; d_value joins all of them in the lattice
     g = GroupId(*rpn)
     uni = _NestedUniverse(g, building_set(g))
-    for mask in uni.nested_masks():
+    for mask in oracle_nested_masks(uni):
         members = [i for i in range(len(uni.elems)) if mask >> i & 1]
         for i in members:
             inside = [uni.elems[j] for j in members if uni.below[i] >> j & 1]
@@ -500,7 +578,8 @@ def test_join_chains_match_reference(chain):
 
 def universe_by_pairs(g, elems):
     """Reference pair table: contains both ways on every pair, then join of
-    fresh lattice views; the G(2,2,n) data straight from contains."""
+    fresh lattice views, asked for membership and for a direct sum; the
+    G(2,2,n) twins straight from the supports."""
     nb = len(elems)
     ok, below = [0] * nb, [0] * nb
     for i, j in itertools.combinations(range(nb), 2):
@@ -516,18 +595,15 @@ def universe_by_pairs(g, elems):
                 continue
         ok[i] |= 1 << j
         ok[j] |= 1 << i
-    rr2 = g.variant is Variant.RR and g.r == 2
-    partner, covers_anti = [-1] * nb, [0] * nb
-    if rr2:
+    partner = [-1] * nb
+    if g.variant is Variant.RR and g.r == 2:
         for i, j in itertools.permutations(range(nb), 2):
             a, b = elems[i], elems[j]
-            # the two blocks on one 2-point support are antiparallel
+            # the two blocks on one 2-point support are twins
             if not a.is_strong and not b.is_strong and a.support == b.support \
                     and len(a.support) == 2:
                 partner[i] = j
-            if b.is_strong and contains(b, a):
-                covers_anti[i] |= 1 << j
-    return ok, below, covers_anti, partner
+    return ok, below, partner
 
 
 # on the full building set with n >= 4, the universe build's screens skip
@@ -546,7 +622,7 @@ def test_universe_matches_pairwise_reference(rpn):
     g = GroupId(*rpn)
     admissible, _, _ = next(_admissible_supports(g))
     for uni in (_NestedUniverse(g, building_set(g)), admissible):
-        got = (uni.ok, uni.below, uni.covers_anti, uni.partner)
+        got = (uni.ok, uni.below, uni.partner)
         assert got == universe_by_pairs(g, uni.elems), (rpn, len(uni.elems))
 
 

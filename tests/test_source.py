@@ -55,13 +55,16 @@ def _references(tree):
 
 
 def test_no_orphaned_private_helpers_in_the_library():
-    # a private helper that nothing else in the library refers to, such
-    # as one a refactor has left behind, is dead code; tests do not count
+    # a private helper or method that nothing else in the library refers
+    # to, such as one a refactor has left behind, is dead code; tests do
+    # not count
     trees = list(_trees())
     refs = Counter(name for _, tree in trees for name in _references(tree))
     found = []
     for path, tree in trees:
-        for node in tree.body:
+        methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body]
+        for node in tree.body + methods:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name.startswith("_") and not node.name.startswith("__")):
                 own = sum(name == node.name for name in _references(node))
