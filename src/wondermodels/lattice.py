@@ -109,7 +109,13 @@ class BuildingElement:
         missing = [i for i in support if i not in weights]
         if missing:
             raise ValueError(f"no weight for coordinate {missing[0]}")
-        return cls("weak", *_normalize_block({i: weights[i] for i in support}, r), r)
+        extra = sorted(set(weights) - set(support))
+        if extra:
+            raise ValueError(f"weight for coordinate {extra[0]} outside the support")
+        for i in support:
+            if not isinstance(weights[i], int):
+                raise ValueError(f"weight {weights[i]!r} for coordinate {i} is not an integer")
+        return cls("weak", *_normalize_block(weights, r), r)
 
     @property
     def is_strong(self) -> bool:
@@ -132,8 +138,9 @@ class BuildingElement:
     def is_canonical(self) -> bool:
         """The support strictly increasing; a strong element without
         weights; a weak one with one weight per support point, weights[0]
-        == 0 and every weight in 0..r-1.  Any other spelling of a subspace,
-        such as unnormalised weights, would make one subspace two elements.
+        == 0 and every weight an int in 0..r-1.  Any other spelling of a
+        subspace, such as unnormalised weights, would make one subspace two
+        elements.
         """
         s, w = self.support, self.weights
         if any(a >= b for a, b in zip(s, s[1:])):
@@ -141,7 +148,7 @@ class BuildingElement:
         if self.kind == "strong":
             return not w
         return (self.kind == "weak" and len(w) == len(s) and w[:1] == (0,)
-                and all(0 <= a < self.r for a in w))
+                and all(isinstance(a, int) and 0 <= a < self.r for a in w))
 
     @functools.cached_property
     def _view(self) -> "LatticeElement":

@@ -7,11 +7,16 @@ tubes (connected, nonempty, proper node subsets) that are pairwise nested
 or disjoint and non-adjacent.  A tubing of k tubes is a face of
 codimension k; the empty tubing is the polytope itself.
 
-Tubings are counted, not visited: they are the cliques of the tube
-compatibility graph, counted by size with a memo keyed on the candidate
-set.  Each memoised f-vector is packed into one int, an entry per digit
-wide enough that no count ever carries into the next, so merging two
-f-vectors is one addition and shifting one by a codimension one shift.
+Tubings are counted, not visited.  A tubing is a family of pairwise
+disjoint, non-adjacent maximal tubes with a tubing inside each, so the
+count recurses on node sets: the lowest free node lies in no maximal
+tube, or in one tube through it.  The families are memoised on the set
+of free nodes and the tubings inside a tube on the tube.  Tubes are
+grown from their lowest node through higher neighbours.  Each memoised
+f-vector is packed into one int, an entry per digit wide enough that no
+count ever carries into the next, so merging two f-vectors is one
+addition, shifting one by a codimension one shift and combining two
+disjoint parts one product.
 Plane forests are counted as set partitions whose parts all have at
 least two items, by a recursion on the part of the lowest item memoised
 on the number of items and parts left.  Neither count uses a generating
@@ -22,7 +27,6 @@ oracle.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,16 +63,6 @@ class Graph:
         """The nodes adjacent to i; empty for a node outside the graph."""
         return self._adjacency.get(i, frozenset())
 
-    def is_connected_subset(self, sub: frozenset) -> bool:
-        todo, seen = [next(iter(sub))], set()
-        while todo:
-            x = todo.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            todo.extend(self.neighbors(x) & sub - seen)
-        return seen == set(sub)
-
 
 def dynkin_graph(family: str, n: int) -> Graph:
     """Dynkin diagrams as plain graphs.
@@ -98,71 +92,106 @@ def dynkin_graph(family: str, n: int) -> Graph:
     raise ValueError(f"family must be 'A', 'B' or 'D', got {family!r}")
 
 
+def _bitmasks(graph: Graph) -> tuple[dict[int, int], dict[int, int]]:
+    """The i-th node as the bit 1 << i, and each node's neighbours as a
+    mask of those bits, keyed by the node's bit."""
+    bit = {x: 1 << i for i, x in enumerate(graph.nodes)}
+    return bit, {bit[x]: sum(bit[y] for y in graph.neighbors(x)) for x in graph.nodes}
+
+
 def enumerate_tubes(graph: Graph) -> list[frozenset]:
-    """All tubes (connected nonempty proper node subsets), sorted."""
-    if len(graph.nodes) > TUBE_NODE_GUARD:
-        raise GuardExceeded(
-            f"graph has {len(graph.nodes)} nodes (guard {TUBE_NODE_GUARD})")
-    out = []
+    """All tubes (connected nonempty proper node subsets), sorted by size,
+    then by their sorted nodes.
+
+    Each connected set is grown from its lowest node v, one higher
+    neighbour at a time.  grow takes the nodes that may still join (ext)
+    and those ruled out in this branch (banned): it either takes the
+    lowest node u of ext, with u's new neighbours, or bans u for the rest
+    of the branch, so every connected set is reached once.
+    """
     nodes = graph.nodes
-    for size in range(1, len(nodes)):
-        for sub in itertools.combinations(nodes, size):
-            fs = frozenset(sub)
-            if graph.is_connected_subset(fs):
-                out.append(fs)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    if len(nodes) > TUBE_NODE_GUARD:
+        raise GuardExceeded(
+            f"graph has {len(nodes)} nodes (guard {TUBE_NODE_GUARD})")
+    bit, adjacent = _bitmasks(graph)
+    everything = (1 << len(nodes)) - 1
+    found = []
 
+    def grow(sub: int, ext: int, banned: int) -> None:
+        found.append(sub)
+        while ext:
+            u = ext & -ext
+            ext ^= u
+            grow(sub | u, ext | adjacent[u] & ~(sub | banned), banned | u)
+            banned |= u
 
-def _compatible(graph: Graph, a: frozenset, b: frozenset) -> bool:
-    if a <= b or b <= a:
-        return True
-    if a & b:
-        return False
-    # disjoint tubes must not be adjacent (their union must stay disconnected)
-    return not any(graph.neighbors(x) & b for x in a)
+    for i in range(len(nodes)):
+        below = (2 << i) - 1  # v and every lower node
+        grow(1 << i, adjacent[1 << i] & ~below, below)
+    tubes = [frozenset(x for x in nodes if sub & bit[x])
+             for sub in found if sub != everything]
+    return sorted(tubes, key=lambda s: (len(s), sorted(s)))
 
 
 def fvector_tubings(graph: Graph) -> list[int]:
     """Face counts by codimension: entry k is the number of tubings with
     exactly k tubes; entry 0 is always 1 (the whole polytope).
 
-    A tubing is a clique of the graph on tubes whose edges join compatible
-    tubes.  count(cand) is the f-vector of the tubings drawn from the tube
-    bitmask cand: the empty tubing, plus, for each tube i of cand, the
-    tubings whose lowest tube is i, that is i added to a tubing drawn from
-    the tubes after i in cand that are compatible with i.  Many branches
-    share a candidate set, so count is memoised on it.
+    The maximal tubes of a tubing are pairwise disjoint and non-adjacent,
+    and the other tubes form a tubing inside each of them.  Over node
+    bitmasks, with through[v] the tubes whose lowest node is v and
+    closure[t] the tube t with its neighbours:
+      - G(R) counts the families of disjoint, non-adjacent tubes inside the
+        node set R, each tube t weighted x F(t).  The lowest node v of R
+        lies in no tube of the family, or in one tube t of through[v]
+        inside R, whose closure no other tube of the family meets:
+            G(R) = G(R - v) + sum x F(t) G(R - closure[t]),   G(empty) = 1;
+      - F(S) is the same sum over R = S with t = S left out: the tubings
+        inside the tube S.  The answer is F(all nodes).
+    families memoises G on R and tubings F on S.
 
-    count packs its f-vector into one int, entry k in the k-th digit of
-    W = nt + 1 bits, so a branch merges by one + and moves up one
-    codimension by one <<.  The packing is exact: every entry, and every
-    partial sum of one, counts k-subsets of the nt tubes, at most
-    C(nt, k) < 2^nt, so no digit carries into the next.
+    Each f-vector is packed into one int, entry k in the k-th digit of
+    W = nt + 1 bits, so a branch merges by one +, moves up one codimension
+    by one << and combines with a disjoint part by one *.  The packing is
+    exact: every entry, every partial sum of one and every coefficient of
+    a product counts k-subsets of the nt tubes, at most C(nt, k) < 2^nt,
+    so no digit carries into the next.
     """
     tubes = enumerate_tubes(graph)
-    nt = len(tubes)
-    ok = [0] * nt
-    for i, j in itertools.combinations(range(nt), 2):
-        if _compatible(graph, tubes[i], tubes[j]):
-            ok[i] |= 1 << j
-            ok[j] |= 1 << i
-    width = nt + 1
-    memo: dict[int, int] = {}
+    width = len(tubes) + 1
+    bit, adjacent = _bitmasks(graph)
+    through: list[list[tuple[int, int]]] = [[] for _ in graph.nodes]
+    for tube in tubes:
+        t = closure = 0
+        for x in tube:
+            t |= bit[x]
+            closure |= bit[x] | adjacent[bit[x]]
+        through[(t & -t).bit_length() - 1].append((t, closure))
+    family_memo: dict[int, int] = {0: 1}
+    tubing_memo: dict[int, int] = {}
 
-    def count(cand: int) -> int:
-        got = memo.get(cand)
-        if got is not None:
-            return got
-        got = 1
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            got += count(rest & ok[low.bit_length() - 1]) << width
-        memo[cand] = got
+    def count(free: int, skip: int) -> int:
+        """G(free), with the tube skip left out (0 leaves none out)."""
+        low = free & -free
+        got = families(free ^ low)
+        for t, closure in through[low.bit_length() - 1]:
+            if t & ~free == 0 and t != skip:
+                got += tubings(t) * families(free & ~closure) << width
         return got
 
-    packed, digit = count((1 << nt) - 1), (1 << width) - 1
+    def families(free: int) -> int:
+        got = family_memo.get(free)
+        if got is None:
+            got = family_memo[free] = count(free, 0)
+        return got
+
+    def tubings(tube: int) -> int:
+        got = tubing_memo.get(tube)
+        if got is None:
+            got = tubing_memo[tube] = count(tube, tube)
+        return got
+
+    packed, digit = tubings((1 << len(graph.nodes)) - 1), (1 << width) - 1
     fvec = []
     while packed:  # every codimension up to the top has a tubing
         fvec.append(packed & digit)

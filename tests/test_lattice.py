@@ -112,6 +112,18 @@ def test_weak_refuses_a_weight_dict_without_a_support_coordinate():
         W((1, 2, 3), {1: 0, 2: 1}, 3)
 
 
+def test_weak_refuses_a_weight_for_a_coordinate_outside_the_support():
+    with pytest.raises(ValueError, match="^weight for coordinate 7 outside the support$"):
+        W((1, 2), {1: 0, 2: 1, 7: 3}, 3)
+
+
+@pytest.mark.parametrize("weights", [{1: 0, 2: 1.5}, (0, 1.5), {1: 0.0, 2: 1}, (0, "1")],
+                         ids=repr)
+def test_weak_refuses_a_weight_that_is_not_an_integer(weights):
+    with pytest.raises(ValueError, match="is not an integer$"):
+        W((1, 2), weights, 3)
+
+
 def test_text_forms():
     assert S((1, 3), 2).text() == "{0,1,3}"
     assert W((1, 2, 4), (0, 1, 3), 4).text() == "{1, 2^1, 4^3}"
@@ -283,6 +295,8 @@ MALFORMED = [
     BuildingElement("weak", (1, 2), (1, 0), 3),     # W((1, 2), (0, 2), 3) unnormalised
     BuildingElement("weak", (1, 2, 3), (0, 1), 3),  # fewer weights than points
     BuildingElement("weak", (2, 1), (0, 1), 3),     # unsorted support
+    BuildingElement("weak", (1, 2), (0, 1.5), 3),   # a weight that is no int
+    BuildingElement("weak", (1, 2), (0, 1.0), 3),   # W((1, 2), (0, 1), 3) spelt in floats
     BuildingElement("strong", (1, 2), (0, 0), 3),   # a zero set with weights
     BuildingElement("strong", (2, 1), (), 3),       # unsorted support
     BuildingElement("strong", (1, 1, 2), (), 3),    # repeated coordinate

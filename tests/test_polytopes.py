@@ -15,7 +15,6 @@ from wondermodels.polytopes import (
     EULER_CW_RANGE,
     TUBE_NODE_GUARD,
     Graph,
-    _compatible,
     count_plane_trees,
     dynkin_graph,
     enumerate_tubes,
@@ -30,16 +29,80 @@ def path(m):
     return Graph.from_edges(range(1, m + 1), [(i, i + 1) for i in range(1, m)])
 
 
+def is_connected_subset(graph, sub):
+    """Reference: a walk from one node of sub, through neighbours inside
+    sub, reaches all of sub."""
+    todo, seen = [next(iter(sub))], set()
+    while todo:
+        x = todo.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        todo.extend(graph.neighbors(x) & sub - seen)
+    return seen == set(sub)
+
+
+def tubes_by_subset_filter(graph):
+    """Reference tube list: every nonempty proper node subset, kept when
+    it is connected, in the order of enumerate_tubes."""
+    nodes = graph.nodes
+    out = [frozenset(sub) for size in range(1, len(nodes))
+           for sub in itertools.combinations(nodes, size)
+           if is_connected_subset(graph, frozenset(sub))]
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def compatible(graph, a, b):
+    """Reference: two tubes are nested, or disjoint and non-adjacent."""
+    if a <= b or b <= a:
+        return True
+    if a & b:
+        return False
+    # disjoint tubes must not be adjacent (their union must stay disconnected)
+    return not any(graph.neighbors(x) & b for x in a)
+
+
+def compatibility(graph):
+    """The reference tubes and, for each, the bitmask of the tubes
+    compatible with it."""
+    tubes = tubes_by_subset_filter(graph)
+    ok = [0] * len(tubes)
+    for i, j in itertools.combinations(range(len(tubes)), 2):
+        if compatible(graph, tubes[i], tubes[j]):
+            ok[i] |= 1 << j
+            ok[j] |= 1 << i
+    return tubes, ok
+
+
+def fvector_by_cliques(graph):
+    """Reference f-vector: tubings as the cliques of the tube
+    compatibility graph, counted by size with a memo on the candidate
+    set of tubes, each count a list by clique size."""
+    tubes, ok = compatibility(graph)
+    memo = {}
+
+    def count(cand):
+        if cand not in memo:
+            got = [1]
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                sub = count(rest & ok[low.bit_length() - 1])
+                got += [0] * (len(sub) + 1 - len(got))
+                for k, c in enumerate(sub):
+                    got[k + 1] += c
+            memo[cand] = got
+        return memo[cand]
+
+    return count((1 << len(tubes)) - 1)
+
+
 def fvector_by_walk(graph):
     """Reference f-vector: visit every tubing once, one call per face,
     with no memo."""
-    tubes = enumerate_tubes(graph)
+    tubes, ok = compatibility(graph)
     nt = len(tubes)
-    ok = [0] * nt
-    for i, j in itertools.combinations(range(nt), 2):
-        if _compatible(graph, tubes[i], tubes[j]):
-            ok[i] |= 1 << j
-            ok[j] |= 1 << i
     counts = {0: 1}
 
     def dfs(start, mask, size):
@@ -51,6 +114,10 @@ def fvector_by_walk(graph):
 
     dfs(0, 0, 0)
     return [counts.get(k, 0) for k in range(max(counts) + 1)]
+
+
+def complete_graph(m):
+    return Graph.from_edges(range(1, m + 1), itertools.combinations(range(1, m + 1), 2))
 
 
 def all_partitions_into(items, k):
@@ -114,8 +181,8 @@ def test_graph_rejects_bad_edges():
 def test_neighbors_and_connectivity():
     g = dynkin_graph("D", 5)
     assert g.neighbors(3) == {2, 4, 5}
-    assert g.is_connected_subset(frozenset({4, 3, 5}))
-    assert not g.is_connected_subset(frozenset({4, 5}))
+    assert is_connected_subset(g, frozenset({4, 3, 5}))
+    assert not is_connected_subset(g, frozenset({4, 5}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,20 +283,45 @@ def test_fvector_typeB_matches_path():
         assert fvector_tubings(dynkin_graph("B", n)) == fvector_tubings(path(n))
 
 
-@pytest.mark.parametrize("family,n", [
-    *(("A", n) for n in range(2, 11)),
-    *(("B", n) for n in range(1, 10)),
-    *(("D", n) for n in range(3, 10)),
-])
+# every Dynkin graph up to the guard; the walk makes one call per face, about
+# 1.5 us each, so it stops at 10 nodes (D12 has 18.3 million faces)
+DYNKIN_TO_GUARD = [*(("A", n) for n in range(2, TUBE_NODE_GUARD + 2)),
+                   *(("B", n) for n in range(1, TUBE_NODE_GUARD + 1)),
+                   *(("D", n) for n in range(3, TUBE_NODE_GUARD + 1))]
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f, n in DYNKIN_TO_GUARD
+                                      if len(dynkin_graph(f, n).nodes) <= 10])
 def test_fvector_matches_per_face_walk_on_dynkin_graphs(family, n):
     g = dynkin_graph(family, n)
     assert fvector_tubings(g) == fvector_by_walk(g)
 
 
+REFERENCE_GRAPHS = {**{f"{f}{n}": dynkin_graph(f, n) for f, n in DYNKIN_TO_GUARD},
+                    **{f"K{m}": complete_graph(m) for m in range(1, 8)}}
+
+
+@pytest.mark.parametrize("graph", REFERENCE_GRAPHS.values(), ids=REFERENCE_GRAPHS.keys())
+def test_tubes_and_fvector_match_the_subset_filter_and_clique_count(graph):
+    assert enumerate_tubes(graph) == tubes_by_subset_filter(graph)
+    assert fvector_tubings(graph) == fvector_by_cliques(graph)
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs())
 def test_fvector_matches_per_face_walk_on_connected_graphs(g):
-    assert fvector_tubings(g) == fvector_by_walk(g)
+    assert enumerate_tubes(g) == tubes_by_subset_filter(g)
+    assert fvector_tubings(g) == fvector_by_walk(g) == fvector_by_cliques(g)
+
+
+def test_grown_tubes_match_the_subset_filter_on_a_disconnected_graph():
+    # a path, an edge and an isolated node: each component is a tube, and
+    # no tube joins two of them
+    g = Graph.from_edges(range(1, 7), [(1, 2), (2, 3), (4, 5)])
+    tubes = enumerate_tubes(g)
+    assert tubes == tubes_by_subset_filter(g)
+    assert {frozenset({1, 2, 3}), frozenset({4, 5}), frozenset({6})} <= set(tubes)
+    assert len(tubes) == 6 + 2 + 1 + 1
 
 
 @pytest.mark.parametrize("family,n", [("D", 12), ("B", 12), ("A", 13)])
@@ -255,7 +347,7 @@ def test_complete_graph_gives_the_permutohedron(m):
     # its packed count needs the widest digits; its graph associahedron is
     # the permutohedron, whose codimension-k faces are the ordered set
     # partitions into k + 1 blocks
-    g = Graph.from_edges(range(1, m + 1), itertools.combinations(range(1, m + 1), 2))
+    g = complete_graph(m)
     assert fvector_tubings(g) == [math.factorial(k + 1) * stirling2(m, k + 1)
                                   for k in range(m)]
 
@@ -361,16 +453,15 @@ def test_euler_cw_reaches_the_tubing_guard():
 
 def test_fvector_invariants_hold_under_python_O():
     # drop the tube {2} of the 3-node path: the f-vector (1, 4, 3) breaks
-    # the Euler relation; forbid every pair: the top codimension falls short
+    # the Euler relation; give no tubes at all: the top codimension falls
+    # short
     code = """
 import wondermodels.polytopes as P
 assert not __debug__
 g = P.dynkin_graph("B", 3)
 tubes = P.enumerate_tubes(g)
-P.enumerate_tubes = lambda graph: [t for t in tubes if t != frozenset({2})]
-for patch in (None, lambda graph, a, b: False):
-    if patch:
-        P._compatible = patch
+for kept in ([t for t in tubes if t != frozenset({2})], []):
+    P.enumerate_tubes = lambda graph: kept
     try:
         P.fvector_tubings(g)
     except ArithmeticError as err:
