@@ -92,19 +92,23 @@ class AdmissibleFunction:
                  "exponent": e} for a, e in self.assignment]
 
 
-def _d_value(uni, i: int, mask: int) -> int:
-    """d-value of member i of the nested set mask over the universe uni.
+def _d_value(uni, i: int, tops: int) -> int:
+    """d-value of element i over the universe uni: dims[i] minus the
+    dimensions of tops & below[i], which must be the maximal members of
+    its nested set strictly inside it.
 
-    The maximal members of mask strictly inside elems[i] span a direct sum
-    (De Concini-Procesi), so the join of everything inside elems[i] has
-    their summed dimension; lattice.d_value computes the same number by
-    joining, and the tests hold the two against each other.
+    Those members span a direct sum (De Concini-Procesi), so the join of
+    everything inside elems[i] has their summed dimension; lattice.d_value
+    computes the same number by joining, and the tests hold the two
+    against each other.
     """
-    inside = mask & uni.below[i]
-    covered = 0
-    for j in bits(inside):
-        covered |= uni.below[j]
-    return uni.dims[i] - sum(uni.dims[j] for j in bits(inside & ~covered))
+    d, dims = uni.dims[i], uni.dims
+    inside = tops & uni.below[i]
+    while inside:
+        low = inside & -inside
+        inside ^= low
+        d -= dims[low.bit_length() - 1]
+    return d
 
 
 def _admissible_supports(g: GroupId, weak_only: bool = False,
@@ -118,10 +122,15 @@ def _admissible_supports(g: GroupId, weak_only: bool = False,
     It lists the rest inside first (by dimension, stable over the
     building set's order), so no member joins a set after a member that
     contains it: each member's d-value is final as soon as it joins.
-    So the veto computes it once, when the member joins, and the d-list
-    reads it back: nested_masks yields each set right after the veto
-    passed its newest member, and a member's stored value is only
-    rewritten on another branch, after every set through this one.
+    Two members that hold a common member are comparable (their sum is
+    not direct), so the maximal members inside a newcomer i are the
+    maximal members of the set it joins that lie inside it: tops &
+    below[i], with tops as nested_masks hands it to the veto.  So the
+    veto computes the d-value once, when the member joins, and keeps it
+    at the member's place in the set, which the d-list reads back:
+    nested_masks yields each set right after the veto passed its newest
+    member, and a place is only rewritten on another branch, after every
+    set through this one.
 
     The guard is checked first, by counting at most max_building + 1
     building elements, so a group beyond it is refused before its
@@ -135,16 +144,17 @@ def _admissible_supports(g: GroupId, weak_only: bool = False,
         (e for e in building_set(g)
          if e.dimension() >= 2 and not (weak_only and e.is_strong)),
         key=BuildingElement.dimension)))
-    dvals = [0] * len(uni.elems)
+    path = [(0, 0)] * len(uni.elems)  # (index, d-value) of each member, by place
 
-    def veto(i: int, newmask: int) -> bool:
+    def veto(i: int, newmask: int, tops: int) -> bool:
         # every earlier member passed this test and its d-value is final;
         # a newcomer at d <= 1 stays there in every extension
-        dvals[i] = _d_value(uni, i, newmask)
-        return dvals[i] <= 1
+        d = _d_value(uni, i, tops)
+        path[newmask.bit_count() - 1] = (i, d)
+        return d <= 1
 
     for mask in uni.nested_masks(veto):
-        yield uni, mask, [(i, dvals[i]) for i in bits(mask)]
+        yield uni, mask, path[:mask.bit_count()]
 
 
 def poincare_bruteforce(g: GroupId,

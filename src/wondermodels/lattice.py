@@ -127,7 +127,7 @@ class BuildingElement:
     def dimension(self) -> int:
         # codimension-in-quotient convention: a zero set on t coordinates has
         # rank t, a block on t coordinates rank t-1
-        return len(self.support) if self.is_strong else len(self.support) - 1
+        return len(self.support) if self.kind == "strong" else len(self.support) - 1
 
     @functools.cached_property
     def mask(self) -> int:
@@ -290,27 +290,27 @@ def building_set(g: GroupId) -> tuple[BuildingElement, ...]:
     return tuple(sorted(building_elements(g)))
 
 
+def _restricted(block: BuildingElement, mask: int, r: int) -> tuple[int, ...]:
+    """The weights of block on the coordinates in mask, a subset of its
+    support, renormalised: the weights of the one block on mask inside it."""
+    s, w = block.support, block.weights
+    low = w[s.index((mask & -mask).bit_length() - 1)]
+    return tuple([(v - low) % r for x, v in zip(s, w) if mask >> x & 1])
+
+
 def contains(outer: BuildingElement, inner: BuildingElement) -> bool:
     """Subspace containment inner <= outer (equality counts).
 
-    The supports are compared as bitmasks; for two blocks, the outer
-    weights on the inner support, read in one pass, must differ from the
-    inner weights by one shift mod r.
+    The supports are compared as bitmasks; a block holds the one block on
+    each part of its support whose weights are its own restricted there
+    and renormalised, so a block inner is compared in canonical form.
     """
     mi = inner.mask
     if mi & ~outer.mask:
         return False
     if outer.is_strong:
         return True
-    if inner.is_strong:
-        return False
-    r = outer.r
-    on_inner = [v for x, v in zip(outer.support, outer.weights) if mi >> x & 1]
-    shift = (on_inner[0] - inner.weights[0]) % r
-    for v, w in zip(on_inner, inner.weights):
-        if (v - w) % r != shift:
-            return False
-    return True
+    return not inner.is_strong and _restricted(outer, mi, outer.r) == inner.weights
 
 
 def comparable(a: BuildingElement, b: BuildingElement) -> bool:
@@ -372,15 +372,17 @@ class _NestedUniverse:
     comes on top; its one home is _nested_universe, and partner holds the
     twins it reads.
 
-    The build decides the incomparable pairs on disjoint supports by the
-    join of the two elements' lattice views, which each element builds
-    once and keeps (with its support bitmask), and skips the calls
-    whose outcome lattice facts already fix:
-      - strict containment raises the rank, and needs the inner support
-        inside the outer one, so contains(a, b) is asked only when
-        dim b < dim a and supp b lies in supp a (and the reverse likewise);
-        two distinct elements of one dimension are never comparable;
-      - an incomparable pair whose supports meet is not nested: its join
+    The build meets the elements in order and groups them by support
+    bitmask.  Each element is decided against every group met before it,
+    a group at a time, from the two supports alone:
+      - one support inside the other: a zero set holds everything on a
+        support inside its own, and a block holds exactly one block on
+        each smaller support, the one whose weights are its own restricted
+        there and renormalised (found by one lookup, or compared when the
+        larger block came first); no block holds a zero set.  On one
+        support the zero set holds every block, and two blocks are
+        incomparable;
+      - incomparable pairs whose supports meet are not nested: their join
         is one component on the union of the supports.  A block there is
         in the building set.  A zero set arises only for r >= 2, and it
         is in the building set too when the union has min_zero_set
@@ -388,43 +390,75 @@ class _NestedUniverse:
         3 for G(2,2,n), whose zero sets have three.  The one exception is
         the twins of G(2,2,n), the two blocks on one 2-point support:
         their join is a 2-point zero set, outside the building set, so
-        the pair is nested; twins are left to the join.
-    Both skips are exact: every pair the screens leave is decided as
-    before, and the tables come out bit for bit the same.  A pair left
-    to the join has disjoint supports or is a twin pair, and either
-    joins to a direct sum, so only membership is asked of the join.
+        the pair is nested; twins are left to the join;
+      - disjoint supports: the join of the two elements' lattice views,
+        which each element builds once and keeps, decides.
+    So join is asked exactly the pairs on disjoint supports and the twin
+    pairs, each of which joins to a direct sum, so only membership is
+    asked of the join; the tables are bit for bit those of asking
+    contains and join of every pair.
     """
 
     def __init__(self, g: GroupId, elems: tuple[BuildingElement, ...]):
         self.elems = elems
-        nb = len(elems)
-        self.dims = dims = [e.dimension() for e in elems]
+        nb, r = len(elems), g.r
+        self.dims = dims = []
         self.ok = ok = [0] * nb          # bit j: the pair {i,j} is nested
         self.below = below = [0] * nb    # bit j: elems[j] strictly inside elems[i]
         self.partner = partner = [-1] * nb  # the G(2,2,n) twin of elems[i]
-        if g.variant is Variant.RR and g.r == 2:
-            first: dict[tuple[int, ...], int] = {}
-            for i, e in enumerate(elems):
-                if not e.is_strong and len(e.support) == 2:
-                    j = first.setdefault(e.support, i)
-                    if j != i:
-                        partner[i], partner[j] = j, i
-        for i in range(nb):
-            a, da, pa = elems[i], dims[i], partner[i]
-            ma, va = a.mask, a.as_lattice()
-            for j in range(i + 1, nb):
-                b, db = elems[j], dims[j]
-                mb = b.mask
-                if db < da and not mb & ~ma and contains(a, b):
-                    below[i] |= 1 << j
-                elif da < db and not ma & ~mb and contains(b, a):
-                    below[j] |= 1 << i
-                elif ma & mb and j != pa:
-                    continue  # the join is one component, back in the set
-                elif in_building(join(va, b.as_lattice()), g):
-                    continue
-                ok[i] |= 1 << j
-                ok[j] |= 1 << i
+        on: dict[int, int] = {}          # support bitmask: bits of the elements so far
+        blocks: dict[tuple, int] = {}    # (support bitmask, weights): that block
+        weak = 0                         # bits of the blocks so far
+        for i, a in enumerate(elems):
+            dims.append(a.dimension())
+            s, w = a.mask, a.weights
+            inside = holding = 0  # earlier elements inside a, and holding a
+            for t, there in on.items():
+                if t & ~s:
+                    if not s & ~t:  # s strictly inside t: a zero set there holds a
+                        for j in bits(there):
+                            c = elems[j]
+                            if not c.weights or w and _restricted(c, s, r) == w:
+                                holding |= 1 << j
+                    elif not t & s:
+                        for j in bits(there):
+                            self._join_decides(g, i, j)
+                elif not w:  # a is a zero set, and t lies in its support
+                    inside |= there
+                elif t != s:  # a is a block, and t lies strictly in its support
+                    if there & weak:
+                        j = blocks.get((t, _restricted(a, t, r)))
+                        if j is not None:
+                            inside |= 1 << j
+                elif there & ~weak:  # a is a block, after the zero set on its support
+                    holding |= there & ~weak
+                elif len(a.support) == 2 and g.variant is Variant.RR and r == 2:  # twins
+                    j = there.bit_length() - 1
+                    partner[i], partner[j] = j, i
+                    self._join_decides(g, i, j)
+            bit = 1 << i
+            near = inside | holding
+            if near:
+                below[i] = inside
+                ok[i] |= near
+                while near:
+                    low = near & -near
+                    near ^= low
+                    j = low.bit_length() - 1
+                    ok[j] |= bit
+                    if holding & low:
+                        below[j] |= bit
+            on[s] = on.get(s, 0) | bit
+            if w:
+                blocks[s, w] = i
+                weak |= bit
+
+    def _join_decides(self, g: GroupId, i: int, j: int) -> None:
+        """Set the pair {i,j} nested when the join of the two leaves the
+        building set."""
+        if not in_building(join(self.elems[i].as_lattice(), self.elems[j].as_lattice()), g):
+            self.ok[i] |= 1 << j
+            self.ok[j] |= 1 << i
 
     def nested_masks(self, veto=None):
         """All cliques of the pair table as bitmasks, in lexicographic
@@ -436,29 +470,35 @@ class _NestedUniverse:
         Each set is extended only by the candidates it carries: the
         elements after its last member that pair well with every member,
         so cand & ok[i] is the candidate set after adding element i.
+        Each set also carries the union of below over its members, so
+        its maximal members are the members outside that union.
 
-        veto(i, newmask), when given, may return True to cut the whole
-        subtree rooted at extending the current set by element i; sound
-        whenever the caller's reason to skip newmask persists under
-        adding further elements.  A veto that returns False is followed
-        at once by the yield of newmask, before any other veto call, so
-        the veto may leave per-member data for the consumer to read.
+        veto(i, newmask, tops), when given, may return True to cut the
+        whole subtree rooted at extending the current set by element i;
+        tops holds the maximal members of the current set, before i
+        joins.  A cut is sound whenever the caller's reason to skip
+        newmask persists under adding further elements.  A veto that
+        returns False is followed at once by the yield of newmask, before
+        any other veto call, so the veto may leave per-member data for
+        the consumer to read.
         """
         if any(j >= 0 for j in self.partner):
             raise ValueError("the universe holds G(2,2,n) twins, whose "
                              "global rule the clique walk does not apply")
-        ok = self.ok
+        ok, below = self.ok, self.below
 
-        def dfs(cand: int, mask: int):
+        def dfs(cand: int, mask: int, inner: int):
             yield mask
-            for i in bits(cand):
-                cand ^= 1 << i  # bits() walks its own copy; cand keeps what follows i
-                newmask = mask | 1 << i
-                if veto is not None and veto(i, newmask):
+            tops = mask & ~inner
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                i = low.bit_length() - 1
+                if veto is not None and veto(i, mask | low, tops):
                     continue
-                yield from dfs(cand & ok[i], newmask)
+                yield from dfs(cand & ok[i], mask | low, inner | below[i])
 
-        return dfs((1 << len(self.elems)) - 1, 0)
+        return dfs((1 << len(self.elems)) - 1, 0, 0)
 
 
 def _nested_universe(s, g: GroupId) -> _NestedUniverse | None:

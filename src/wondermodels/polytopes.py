@@ -150,15 +150,21 @@ def fvector_tubings(graph: Graph) -> list[int]:
         inside the tube S.  The answer is F(all nodes).
     families memoises G on R and tubings F on S.
 
-    Each f-vector is packed into one int, entry k in the k-th digit of
-    W = nt + 1 bits, so a branch merges by one +, moves up one codimension
-    by one << and combines with a disjoint part by one *.  The packing is
-    exact: every entry, every partial sum of one and every coefficient of
-    a product counts k-subsets of the nt tubes, at most C(nt, k) < 2^nt,
-    so no digit carries into the next.
+    Each f-vector is packed into one int, entry k in the k-th digit of W
+    bits, so a branch merges by one +, moves up one codimension by one <<
+    and combines with a disjoint part by one *.  The packing is exact:
+    every entry, every partial sum of one and every coefficient of a
+    product counts sets of k pairwise compatible tubes out of the nt
+    tubes, at most C(nt, k) of them.  Such a set has at most n tubes, one
+    per node of the n-node graph: each tube holds a node that no smaller
+    tube of the set holds, since its maximal smaller tubes are disjoint
+    and non-adjacent and so cannot cover the connected tube, and a node
+    held that way by two tubes would lie in both, so one would hold the
+    other.  So W, the bit length of the largest C(nt, k) for k <= n, is
+    wide enough that no digit carries into the next.
     """
     tubes = enumerate_tubes(graph)
-    width = len(tubes) + 1
+    width = max(math.comb(len(tubes), k) for k in range(len(graph.nodes) + 1)).bit_length()
     bit, adjacent = _bitmasks(graph)
     through: list[list[tuple[int, int]]] = [[] for _ in graph.nodes]
     for tube in tubes:

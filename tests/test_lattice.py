@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wondermodels import lattice
 from wondermodels.cohomology import _admissible_supports, _d_value, poincare_bruteforce
 from wondermodels.lattice import (
     BuildingElement,
@@ -491,11 +493,15 @@ def test_d_values_from_maximal_members_match_the_join(rpn):
     g = GroupId(*rpn)
     uni = _NestedUniverse(g, building_set(g))
     for mask in oracle_nested_masks(uni):
-        members = [i for i in range(len(uni.elems)) if mask >> i & 1]
-        for i in members:
-            inside = [uni.elems[j] for j in members if uni.below[i] >> j & 1]
-            assert _d_value(uni, i, mask) == d_value(inside, uni.elems[i], g), \
-                (rpn, [uni.elems[j] for j in members], uni.elems[i])
+        for i in bits(mask):
+            inside = mask & uni.below[i]
+            inner = 0
+            for j in bits(inside):
+                inner |= uni.below[j]
+            tops = inside & ~inner
+            want = d_value([uni.elems[j] for j in bits(inside)], uni.elems[i], g)
+            assert _d_value(uni, i, tops) == want, \
+                (rpn, [uni.elems[j] for j in bits(mask)], uni.elems[i])
 
 
 def join_by_restart(a, b):
@@ -620,31 +626,79 @@ def universe_by_pairs(g, elems):
     return ok, below, partner
 
 
-# on the full building set with n >= 4, the universe build's screens skip
-# the join of 89-91% of the incomparable pairs in type A and of 91-99.7%
-# for r >= 2 (G(5,5,4) the most): only disjoint supports and G(2,2,n)
-# twins are left to it
+# on the full building set with n >= 4, the universe build joins only
+# 9-11% of the incomparable pairs in type A and 0.3-9% for r >= 2
+# (G(5,5,4) the fewest): the pairs on disjoint supports and the G(2,2,n)
+# twins; supports decide every other pair
 UNIVERSE_GROUPS = sorted({(r, p, n) for r in (1, 2, 3) for p in {1, r}
                           for n in (2, 3, 4, 5)} | {(2, 2, 6), (1, 1, 7)}
                          | {(4, 2, 4), (4, 4, 4), (5, 1, 4), (5, 5, 4)})
 
 
 @pytest.mark.parametrize("rpn", UNIVERSE_GROUPS, ids="G({0[0]},{0[1]},{0[2]})".format)
-def test_universe_matches_pairwise_reference(rpn):
+def test_universe_matches_pairwise_reference(rpn, monkeypatch):
     # the full building set, and the inside-first d >= 2 list of the
-    # brute-force Poincare route
+    # brute-force Poincare route; the build asks join exactly the
+    # incomparable pairs on disjoint supports and the twin pairs, and no
+    # other, so a traced run counts the same join calls as before the
+    # supports decided every other pair
     g = GroupId(*rpn)
-    admissible, _, _ = next(_admissible_supports(g))
-    for uni in (_NestedUniverse(g, building_set(g)), admissible):
-        got = (uni.ok, uni.below, uni.partner)
-        assert got == universe_by_pairs(g, uni.elems), (rpn, len(uni.elems))
+    asked = []
+    monkeypatch.setattr(lattice, "join", lambda a, b: asked.append(1) or join(a, b))
+    builds = [lambda: _NestedUniverse(g, building_set(g)),
+              lambda: next(_admissible_supports(g))[0]]
+    for build in builds:
+        asked.clear()
+        uni = build()
+        ok, below, partner = universe_by_pairs(g, uni.elems)
+        assert (uni.ok, uni.below, uni.partner) == (ok, below, partner), \
+            (rpn, len(uni.elems))
+        disjoint = sum(1 for i, j in itertools.combinations(range(len(uni.elems)), 2)
+                       if not (below[i] >> j & 1 or below[j] >> i & 1)
+                       and not uni.elems[i].mask & uni.elems[j].mask)
+        twins = sum(1 for i, j in enumerate(partner) if i < j)
+        assert len(asked) == disjoint + twins, rpn
+
+
+ARBITRARY_TUPLE_GROUPS = [(r, p, n) for r in (1, 2, 3, 4) for p in range(1, r + 1)
+                          if r % p == 0 for n in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("rpn", ARBITRARY_TUPLE_GROUPS,
+                         ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_universe_matches_pairwise_reference_on_arbitrary_tuples(rpn):
+    # is_nested and AdmissibleFunction build the universe over a few
+    # members in any order, not over a set closed downward: seeded random
+    # tuples, strong and weak members mixed, some members with part of
+    # what lies inside them, and two blocks on one 2-point support (the
+    # twins of G(2,2,n)), in any order
+    g = GroupId(*rpn)
+    bs = building_set(g)
+    rng = random.Random(f"universe {rpn}")
+    pairs = [(a, b) for a, b in itertools.combinations(bs, 2)
+             if not a.is_strong and not b.is_strong
+             and a.support == b.support and len(a.support) == 2]
+    for _ in range(40):
+        elems = set(rng.sample(bs, rng.randint(1, min(len(bs), 12))))
+        outer = rng.choice(bs)
+        inner = [e for e in bs if e != outer and contains(outer, e)]
+        elems |= {outer, *rng.sample(inner, min(len(inner), rng.randint(0, 6)))}
+        if pairs:
+            elems |= set(rng.choice(pairs))
+        elems = list(elems)
+        rng.shuffle(elems)
+        uni = _NestedUniverse(g, tuple(elems))
+        assert (uni.ok, uni.below, uni.partner) == universe_by_pairs(g, uni.elems), \
+            (rpn, elems)
 
 
 @pytest.mark.parametrize("rpn", UNIVERSE_GROUPS, ids="G({0[0]},{0[1]},{0[2]})".format)
 def test_admissible_d_lists_are_the_d_values_of_each_support(rpn):
-    # the veto computes each member's d-value once, when it joins, and
-    # the d-list reads it back; it must be the member's d-value in the
-    # whole support
+    # the veto computes each member's d-value once, when it joins, from
+    # the maximal members the walk carries, and the d-list reads it back;
+    # it must be the member's d-value in the whole support, by the join
     g = GroupId(*rpn)
     for uni, mask, ds in _admissible_supports(g):
-        assert ds == [(i, _d_value(uni, i, mask)) for i in bits(mask)], (rpn, mask)
+        want = [(i, d_value([uni.elems[j] for j in bits(mask & uni.below[i])],
+                            uni.elems[i], g)) for i in bits(mask)]
+        assert ds == want, (rpn, mask)
