@@ -244,56 +244,60 @@ def encode_partition(f: AdmissibleFunction) -> WeightedPartition:
     part holding its children, weighted by the twist between parent and
     child, and carrying the vertex's exponent.  The zero function maps to
     the empty partition of the empty set.
+
+    Members are kept by position in the assignment.  Sorted once by
+    support size, each member's parent is the first member after it in
+    that order that contains it (the members holding one member form a
+    chain), and each leaf's owner is the first member in that order
+    holding it.  A member's children all come before it in that order,
+    so one pass gives every level.  A part takes the leaves whose owner
+    equals its member, so a forged assignment listing one block twice
+    gives overlapping parts, which the cover check refuses.
     """
     if any(a.is_strong for a, _ in f.assignment):
         raise ValueError("the partition bijection covers all-weak supports only")
     if not f.assignment:
         return WeightedPartition(0, ())
-    g = f.group
-    n, r = g.n, g.r
+    n = f.group.n
     elems = [a for a, _ in f.assignment]
-    expo = f.as_dict()
+    k = len(elems)
+    order = sorted(range(k), key=lambda i: len(elems[i].support))
+    parent = [-1] * k
+    kids: list[list[int]] = [[] for _ in range(k)]
+    level = [1] * k
+    owner = [-1] * (n + 1)  # by leaf: the position of the smallest member holding it
+    for at, i in enumerate(order):
+        e = elems[i]
+        for x in e.support:
+            if owner[x] < 0:
+                owner[x] = i
+        for j in order[at + 1:]:
+            if contains(elems[j], e):
+                parent[i] = j
+                kids[j].append(i)
+                level[j] = max(level[j], level[i] + 1)
+                break
 
-    def parent_of(e):
-        ups = [c for c in elems if c != e and contains(c, e)]
-        return min(ups, key=lambda c: len(c.support)) if ups else None
+    label = [0] * k
+    for lbl, i in enumerate(sorted(range(k), key=lambda i: (level[i], elems[i].support[0])),
+                            start=n + 1):
+        label[i] = lbl
 
-    parent = {e: parent_of(e) for e in elems}
-    kids = {e: [c for c in elems if parent[c] is e] for e in elems}
-    leaf_owner = {}
-    for i in range(1, n + 1):
-        holders = [e for e in elems if i in e.support]
-        if holders:
-            leaf_owner[i] = min(holders, key=lambda c: len(c.support))
-
-    level: dict[BuildingElement, int] = {}
-
-    def level_of(e) -> int:
-        if e not in level:
-            level[e] = 1 + max((level_of(c) for c in kids[e]), default=0)
-        return level[e]
-
-    ordered = sorted(elems, key=lambda e: (level_of(e), e.support[0]))
-    label = {e: n + 1 + i for i, e in enumerate(ordered)}
-
-    roots = [e for e in elems if parent[e] is None]
-    isolated = [i for i in range(1, n + 1) if i not in leaf_owner]
+    roots = [i for i in range(k) if parent[i] < 0]
+    isolated = [x for x in range(1, n + 1) if owner[x] < 0]
     connected = len(roots) == 1 and not isolated
 
     parts = []
-    for e in elems:
-        members: dict[int, int] = {}
-        for i in e.support:
-            if leaf_owner[i] is e:
-                members[i] = e.weight_of(i)
-        for c in kids[e]:
+    for i, (e, expo) in enumerate(f.assignment):
+        members = {x: w for x, w in zip(e.support, e.weights) if elems[owner[x]] == e}
+        for c in kids[i]:
             # child weights are normalized with 0 on their smallest leaf,
             # so the twist is just the parent weight sitting there
-            members[label[c]] = e.weight_of(c.support[0])
+            members[label[c]] = e.weight_of(elems[c].support[0])
         ms = tuple(sorted(members))
-        parts.append(Part(ms, tuple(members[m] for m in ms), expo[e]))
+        parts.append(Part(ms, tuple(members[m] for m in ms), expo))
     if not connected:
-        tops = sorted([label[e] for e in roots] + isolated)
+        tops = sorted([label[i] for i in roots] + isolated)
         parts.append(Part(tuple(tops), (0,) * len(tops), 0))
 
     ground = n + len(parts) - 1
@@ -305,7 +309,15 @@ def encode_partition(f: AdmissibleFunction) -> WeightedPartition:
 
 def decode_partition(p: WeightedPartition, g: GroupId) -> AdmissibleFunction:
     """Inverse of encode_partition; raises MalformedPartition when p is not
-    in the image for the group g."""
+    in the image for the group g, and first of all when the ground size,
+    a member, a weight or an exponent is not an int."""
+    entries = [p.ground_size]
+    for part in p.parts:
+        entries += (*part.members, *part.weights, part.exponent)
+    for v in entries:
+        if not isinstance(v, int):
+            raise MalformedPartition(f"ground size, member, weight or exponent "
+                                     f"{v!r} is not an integer")
     if not p.parts:
         if p.ground_size:
             raise MalformedPartition("no parts but a nonempty ground set")

@@ -255,10 +255,19 @@ def join(a: LatticeElement, b: LatticeElement) -> LatticeElement:
 
 
 def join_all(elements, r: int) -> LatticeElement:
-    out = LatticeElement.bottom(r)
-    for e in elements:
-        out = join(out, e.as_lattice() if isinstance(e, BuildingElement) else e)
-    return out
+    """The join of elements (BuildingElements or LatticeElements of r).
+
+    The join of one element is that element, so the fold starts from the
+    lattice view of the first and joins only from the second on; bottom(r)
+    comes back only when elements is empty.  A first element of another r
+    is refused with ValueError, as join refuses the pair.
+    """
+    views = [e.as_lattice() if isinstance(e, BuildingElement) else e for e in elements]
+    if not views:
+        return LatticeElement.bottom(r)
+    if views[0].r != r:
+        raise ValueError("lattice elements from different r")
+    return functools.reduce(join, views)
 
 
 def in_building(e: LatticeElement, g: GroupId) -> bool:
@@ -334,7 +343,11 @@ def _check_membership(s, g: GroupId) -> tuple[BuildingElement, ...]:
 
 def is_nested_def(s, g: GroupId) -> bool:
     """Nestedness straight from the definition: no antichain of two or more
-    elements may join into a building set member.  Exponential; oracle use."""
+    elements may join into a building set member.  Exponential; oracle use.
+
+    Each antichain starts from the lattice view of its first member, and
+    the join of the antichain so far with each newcomer is taken only from
+    the second member on, so every join has two real operands."""
     elems = _check_membership(s, g)
 
     def extend(start: int, chain: list[BuildingElement], acc: LatticeElement) -> bool:
@@ -342,9 +355,12 @@ def is_nested_def(s, g: GroupId) -> bool:
             e = elems[i]
             if any(comparable(e, f) for f in chain):
                 continue
-            j = join(acc, e.as_lattice())
-            if chain and in_building(j, g):
-                return False
+            if chain:
+                j = join(acc, e.as_lattice())
+                if in_building(j, g):
+                    return False
+            else:
+                j = e.as_lattice()
             chain.append(e)
             if not extend(i + 1, chain, j):
                 return False

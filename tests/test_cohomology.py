@@ -30,7 +30,7 @@ from wondermodels.lattice import (
     contains,
     d_value,
 )
-from test_lattice import UNIVERSE_GROUPS, oracle_nested_masks
+from test_lattice import UNIVERSE_GROUPS, oracle_nested_masks, spy_joins
 
 
 def weak(coords, weights, r):
@@ -359,6 +359,73 @@ def test_roundtrip_exhaustive_small():
             assert decode_partition(wp, g) == f
 
 
+def encode_by_elements(f):
+    """Reference encoder over dicts keyed by member: each member's parent is
+    the smallest other member containing it, found by contains over every
+    pair, and each leaf's owner the smallest member holding it."""
+    n = f.group.n
+    elems = [a for a, _ in f.assignment]
+    expo = f.as_dict()
+
+    def parent_of(e):
+        ups = [c for c in elems if c != e and contains(c, e)]
+        return min(ups, key=lambda c: len(c.support)) if ups else None
+
+    parent = {e: parent_of(e) for e in elems}
+    kids = {e: [c for c in elems if parent[c] is e] for e in elems}
+    leaf_owner = {}
+    for i in range(1, n + 1):
+        holders = [e for e in elems if i in e.support]
+        if holders:
+            leaf_owner[i] = min(holders, key=lambda c: len(c.support))
+
+    level = {}
+
+    def level_of(e):
+        if e not in level:
+            level[e] = 1 + max((level_of(c) for c in kids[e]), default=0)
+        return level[e]
+
+    ordered = sorted(elems, key=lambda e: (level_of(e), e.support[0]))
+    label = {e: n + 1 + i for i, e in enumerate(ordered)}
+    roots = [e for e in elems if parent[e] is None]
+    isolated = [i for i in range(1, n + 1) if i not in leaf_owner]
+    parts = []
+    for e in elems:
+        members = {i: e.weight_of(i) for i in e.support if leaf_owner[i] is e}
+        for c in kids[e]:
+            members[label[c]] = e.weight_of(c.support[0])
+        ms = tuple(sorted(members))
+        parts.append(Part(ms, tuple(members[m] for m in ms), expo[e]))
+    if len(roots) != 1 or isolated:
+        tops = sorted([label[e] for e in roots] + isolated)
+        parts.append(Part(tuple(tops), (0,) * len(tops), 0))
+    return WeightedPartition(n + len(parts) - 1, tuple(parts))
+
+
+def test_encode_matches_the_reference_encoder():
+    # every all-weak function of the selftest's round trip
+    functions = 0
+    for r in (1, 2, 3):
+        for p in {1, r}:
+            for n in range(2, 6):
+                for f in enumerate_admissible(GroupId(r, p, n), weak_only=True):
+                    if f.assignment:
+                        assert encode_partition(f) == encode_by_elements(f), f.to_obj()
+                    functions += 1
+    assert functions == 3812
+
+
+def test_admissible_function_joins_no_bottom(monkeypatch):
+    # every function, not the all-weak ones alone: no all-weak function of
+    # G(3,1,4) has a member inside another, so none reaches d_value's join
+    g = GroupId(3, 1, 4)
+    fs = list(enumerate_admissible(g))
+    with_bottom = spy_joins(monkeypatch)
+    assert [AdmissibleFunction(g, f.assignment) for f in fs] == fs
+    assert len(fs) == 150 and not with_bottom, with_bottom
+
+
 def test_ground_size_counts_parts():
     g = GroupId(2, 1, 4)
     for f in enumerate_admissible(g, weak_only=True):
@@ -423,6 +490,18 @@ def test_malformed_exponent_out_of_range():
         dec((Part((1, 2, 3, 4), (0, 0, 0, 0), 3),), 4, GroupId(1, 1, 4))
     with pytest.raises(MalformedPartition, match="out of range"):
         dec((Part((1, 2, 3), (0, 0, 0), 2),), 3, GroupId(1, 1, 3))
+
+
+@pytest.mark.parametrize("part,ground", [
+    (Part((1, 2.0, 3), (0, 0, 0), 1), 3),  # passes the cover check, as 2.0 == 2
+    (Part((1, 2, 3), (0, 1.5, 0), 1), 3),
+    (Part((1, 2, 3), (0, "1", 0), 1), 3),
+    (Part((1, 2, 3), (0, 1, 0), 1.0), 3),
+    (Part((1, 2, 3), (0, 1, 0), 1), 3.0),
+], ids=["member", "float-weight", "str-weight", "exponent", "ground-size"])
+def test_malformed_non_integer_entries(part, ground):
+    with pytest.raises(MalformedPartition, match="is not an integer"):
+        dec((part,), ground, GroupId(2, 1, 3))
 
 
 def test_malformed_weight_out_of_range():

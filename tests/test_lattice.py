@@ -274,6 +274,48 @@ def test_join_all_empty_is_bottom():
     assert bot.dimension() == 0 and bot.component_count() == 0
 
 
+def test_join_all_of_one_element_is_its_view():
+    a, z = W((1, 3), (0, 2), 3), S((2, 4), 3).as_lattice()
+    assert join_all([a], 3) == a.as_lattice() and join_all([z], 3) == z
+    # one element of another r is refused, as join refuses the pair
+    for one in (a, z):
+        with pytest.raises(ValueError, match="different r"):
+            join_all([one], 2)
+
+
+def spy_joins(monkeypatch):
+    """Wrap lattice.join; the list returned collects the operand pairs of
+    every call that has the bottom on either side."""
+    with_bottom = []
+    real = lattice.join
+
+    def spy(a, b):
+        if not a.component_count() or not b.component_count():
+            with_bottom.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(lattice, "join", spy)
+    return with_bottom
+
+
+def test_is_nested_def_joins_no_bottom(monkeypatch):
+    # every good-pair clique: outside G(2,2,n) the pair table marks a pair
+    # good exactly when it is comparable or joins outside the building set
+    g = GroupId(2, 1, 3)
+    uni = _NestedUniverse(g, building_set(g))
+    with_bottom = spy_joins(monkeypatch)
+    cliques = nested = 0
+    stack = [((1 << len(uni.elems)) - 1, 0)]
+    while stack:
+        cand, mask = stack.pop()
+        nested += is_nested_def([uni.elems[i] for i in bits(mask)], g)
+        cliques += 1
+        for i in bits(cand):
+            cand ^= 1 << i
+            stack.append((cand & uni.ok[i], mask | 1 << i))
+    assert (cliques, nested) == (94, 94) and not with_bottom, with_bottom
+
+
 def test_in_building_by_variant():
     z2 = LatticeElement(2, (1, 2), ())
     z3 = LatticeElement(2, (1, 2, 3), ())
