@@ -48,36 +48,44 @@ class AdmissibleFunction:
 
     assignment maps each support element A to an exponent with
     1 <= f(A) <= d(A) - 1; elements outside the support carry 0 implicitly.
+    It is kept sorted by element, in the order of the universe that
+    decides the support is nested, which sorts the members once.  Each
+    d-value is lattice.d_value over the maximal members inside A alone:
+    every member inside A lies inside one of them, so their join is the
+    join of all the members inside A.  With no member inside, d(A) is the
+    dimension of A, and there is nothing to join.
     """
 
     group: GroupId
     assignment: tuple[tuple[BuildingElement, int], ...]
 
     def __post_init__(self):
-        elems = tuple(sorted(a for a, _ in self.assignment))
-        if len(set(elems)) != len(elems):
+        exponents = dict(self.assignment)
+        if len(exponents) != len(self.assignment):
             raise ValueError("repeated element in assignment")
         for a, e in self.assignment:
             if not isinstance(e, int):
                 raise ValueError(f"exponent {e!r} for {a} is not an integer")
-        object.__setattr__(self, "assignment",
-                           tuple((a, int(e)) for a, e in sorted(self.assignment)))
-        uni = _nested_universe(elems, self.group)
+        uni = _nested_universe(exponents, self.group)
         if uni is None:
             raise ValueError("support is not nested")
-        # uni.elems is elems, in the order of the assignment
-        for (a, e), below in zip(self.assignment, uni.below):
-            inside = [uni.elems[j] for j in bits(below)]
-            d = d_value(inside, a, self.group)
+        elems, below = uni.elems, uni.below
+        object.__setattr__(self, "assignment",
+                           tuple((a, int(exponents[a])) for a in elems))
+        for (a, e), inside in zip(self.assignment, below):
+            if inside:
+                under = 0  # the members below some member inside a
+                for j in bits(inside):
+                    under |= below[j]
+                d = d_value([elems[j] for j in bits(inside & ~under)], a, self.group)
+            else:
+                d = a.dimension()
             if not 1 <= e <= d - 1:
                 raise ValueError(f"exponent {e} for {a} outside 1..{d - 1}")
 
     @classmethod
     def from_dict(cls, group: GroupId, mapping) -> "AdmissibleFunction":
         return cls(group, tuple(mapping.items()))
-
-    def as_dict(self) -> dict[BuildingElement, int]:
-        return dict(self.assignment)
 
     def support(self) -> tuple[BuildingElement, ...]:
         return tuple(a for a, _ in self.assignment)
@@ -215,6 +223,15 @@ class Part:
         return "{" + ", ".join(items) + "}^" + str(self.exponent)
 
 
+def _members_key(part: Part) -> tuple:
+    """Sort key of a part: its members when they are all ints.  A part with
+    any other member sorts after those, by the repr of its members, so that
+    sorting never compares an int with another type and decode_partition
+    is left to refuse the part."""
+    ms = part.members
+    return (0, ms) if all([isinstance(m, int) for m in ms]) else (1, repr(ms))
+
+
 @dataclass(frozen=True)
 class WeightedPartition:
     """Partition of {1..ground_size} into weighted parts with exponents.
@@ -228,8 +245,7 @@ class WeightedPartition:
     parts: tuple[Part, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts",
-                           tuple(sorted(self.parts, key=lambda p: p.members)))
+        object.__setattr__(self, "parts", tuple(sorted(self.parts, key=_members_key)))
 
     def text(self) -> str:
         return " ".join(p.text() for p in self.parts) if self.parts else "{}"
@@ -388,13 +404,17 @@ def decode_partition(p: WeightedPartition, g: GroupId) -> AdmissibleFunction:
             support[part] = out
         return support[part]
 
+    # each block is built as it stands: its weights are reduced mod r, and
+    # validating the function refuses a block out of canonical form
     mapping = {}
     for part in p.parts:
         if part.exponent:
             wmap = resolve(part)
-            if wmap[min(wmap)] != 0:
+            coords = tuple(sorted(wmap))
+            if wmap[coords[0]] != 0:
                 raise MalformedPartition("weights not normalized at the least leaf")
-            mapping[BuildingElement.weak(tuple(wmap), wmap, r)] = part.exponent
+            block = BuildingElement("weak", coords, tuple([wmap[x] for x in coords]), r)
+            mapping[block] = part.exponent
     try:
         f = AdmissibleFunction.from_dict(g, mapping)
     except ValueError as err:

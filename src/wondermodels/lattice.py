@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 
@@ -69,24 +70,61 @@ class GroupId:
         return f"G({self.r},{self.p},{self.n})"
 
 
-@dataclass(frozen=True, order=True)
-class BuildingElement:
+class _Facts:
+    """The slots a BuildingElement keeps beside its four fields."""
+
+    __slots__ = ("mask", "is_canonical", "_hash", "_view")
+
+
+@dataclass(frozen=True, order=True, slots=True)
+class BuildingElement(_Facts):
     """One irreducible subspace: a zero set ('strong') or a weighted block ('weak').
 
     support is a sorted tuple of coordinates; weights align with support,
     are reduced mod r and normalized so weights[0] == 0.  Strong elements
     carry empty weights.
 
-    The support bitmask, the lattice view and whether the fields have this
-    canonical form are derived once per element, on first use, and kept on
-    it; they are not fields, so equality, hash and order are those of the
-    four fields alone.
+    Two facts are decided from the fields once, at construction, and kept
+    in slots: mask, the support as a bitmask (bit x for coordinate x), and
+    is_canonical, whether the fields have that canonical form: the support
+    strictly increasing; a strong element without weights; a weak one with
+    one weight per support point, weights[0] == 0 and every weight an int
+    in 0..r-1.  Any other spelling of a subspace, such as unnormalised
+    weights, would make one subspace two elements.  The hash of the fields
+    that equality compares is taken once too.  The lattice view is built on
+    the first as_lattice() and kept.  None of them is a field, so equality,
+    hash, order, repr and dataclasses.fields are those of the four fields
+    alone.
     """
 
     kind: str  # "strong" < "weak" alphabetically, giving strongs first in sort
     support: tuple[int, ...]
     weights: tuple[int, ...]
     r: int = field(compare=False)
+
+    def __post_init__(self):
+        s, w = self.support, self.weights
+        if self.kind == "strong":
+            canonical = not w
+        else:
+            r = self.r
+            canonical = (self.kind == "weak" and len(w) == len(s) and w[:1] == (0,)
+                         and all([isinstance(a, int) and 0 <= a < r for a in w]))
+        mask = 0
+        for x in s:
+            if mask >> x:  # x is not above every coordinate before it
+                canonical = False
+            mask |= 1 << x
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "is_canonical", canonical)
+        object.__setattr__(self, "_hash", hash((self.kind, s, w)))
+        object.__setattr__(self, "_view", None)
+
+    def __hash__(self):  # the hash of the fields that equality compares
+        return self._hash
+
+    def __reduce__(self):  # copies and pickles rebuild the facts
+        return BuildingElement, (self.kind, self.support, self.weights, self.r)
 
     @classmethod
     def strong(cls, coords, r: int) -> "BuildingElement":
@@ -129,35 +167,13 @@ class BuildingElement:
         # rank t, a block on t coordinates rank t-1
         return len(self.support) if self.kind == "strong" else len(self.support) - 1
 
-    @functools.cached_property
-    def mask(self) -> int:
-        """The support as a bitmask: bit x for coordinate x."""
-        return sum(1 << x for x in self.support)
-
-    @functools.cached_property
-    def is_canonical(self) -> bool:
-        """The support strictly increasing; a strong element without
-        weights; a weak one with one weight per support point, weights[0]
-        == 0 and every weight an int in 0..r-1.  Any other spelling of a
-        subspace, such as unnormalised weights, would make one subspace two
-        elements.
-        """
-        s, w = self.support, self.weights
-        if any(a >= b for a, b in zip(s, s[1:])):
-            return False
-        if self.kind == "strong":
-            return not w
-        return (self.kind == "weak" and len(w) == len(s) and w[:1] == (0,)
-                and all(isinstance(a, int) and 0 <= a < self.r for a in w))
-
-    @functools.cached_property
-    def _view(self) -> "LatticeElement":
-        if self.is_strong:
-            return LatticeElement(self.r, self.support, ())
-        return LatticeElement(self.r, (), ((self.support, self.weights),))
-
     def as_lattice(self) -> "LatticeElement":
-        return self._view
+        view = self._view
+        if view is None:
+            view = (LatticeElement(self.r, self.support, ()) if self.is_strong
+                    else LatticeElement(self.r, (), ((self.support, self.weights),)))
+            object.__setattr__(self, "_view", view)
+        return view
 
     def text(self) -> str:
         if self.is_strong:
@@ -204,7 +220,7 @@ class LatticeElement:
 def _normalize_block(wmap: dict[int, int], r: int) -> Block:
     support = tuple(sorted(wmap))
     shift = wmap[support[0]]
-    return support, tuple((wmap[i] - shift) % r for i in support)
+    return support, tuple([(wmap[i] - shift) % r for i in support])
 
 
 def join(a: LatticeElement, b: LatticeElement) -> LatticeElement:
@@ -270,13 +286,19 @@ def join_all(elements, r: int) -> LatticeElement:
     return functools.reduce(join, views)
 
 
+def _one_component_in_building(strong: bool, size: int, g: GroupId) -> bool:
+    """The membership rule of the building set for one component on size
+    coordinates: a block needs two of them, a zero set min_zero_set."""
+    return size >= (g.min_zero_set if strong else 2)
+
+
 def in_building(e: LatticeElement, g: GroupId) -> bool:
     """Whether a lattice element is itself a member of the building set."""
     if e.component_count() != 1:
         return False
     if e.blocks:
-        return len(e.blocks[0][0]) >= 2
-    return len(e.zeros) >= g.min_zero_set
+        return _one_component_in_building(False, len(e.blocks[0][0]), g)
+    return _one_component_in_building(True, len(e.zeros), g)
 
 
 def building_elements(g: GroupId):
@@ -303,6 +325,10 @@ def _restricted(block: BuildingElement, mask: int, r: int) -> tuple[int, ...]:
     """The weights of block on the coordinates in mask, a subset of its
     support, renormalised: the weights of the one block on mask inside it."""
     s, w = block.support, block.weights
+    if mask == block.mask:
+        return w
+    if r == 1:  # every weight is 0
+        return (0,) * mask.bit_count()
     low = w[s.index((mask & -mask).bit_length() - 1)]
     return tuple([(v - low) % r for x, v in zip(s, w) if mask >> x & 1])
 
@@ -317,9 +343,9 @@ def contains(outer: BuildingElement, inner: BuildingElement) -> bool:
     mi = inner.mask
     if mi & ~outer.mask:
         return False
-    if outer.is_strong:
+    if outer.kind == "strong":
         return True
-    return not inner.is_strong and _restricted(outer, mi, outer.r) == inner.weights
+    return inner.kind != "strong" and _restricted(outer, mi, outer.r) == inner.weights
 
 
 def comparable(a: BuildingElement, b: BuildingElement) -> bool:
@@ -328,13 +354,18 @@ def comparable(a: BuildingElement, b: BuildingElement) -> bool:
 
 def element_in_building(e: BuildingElement, g: GroupId) -> bool:
     """Structural membership test, independent of the building set's size;
-    only an element in canonical form (is_canonical) is a member."""
+    only an element in canonical form (is_canonical) is a member.  It reads
+    the facts the element decided at construction, with no lattice view."""
     return (e.is_canonical and e.r == g.r and not e.mask & ~((2 << g.n) - 2)
-            and in_building(e.as_lattice(), g))
+            and _one_component_in_building(e.kind == "strong", len(e.support), g))
+
+
+# the order of BuildingElement's fields, as a sort key
+_ORDER = operator.attrgetter("kind", "support", "weights")
 
 
 def _check_membership(s, g: GroupId) -> tuple[BuildingElement, ...]:
-    elems = tuple(sorted(set(s)))
+    elems = tuple(sorted(set(s), key=_ORDER))
     for e in elems:
         if not element_in_building(e, g):
             raise ValueError(f"{e} is not in the building set of {g}")
@@ -350,7 +381,7 @@ def is_nested_def(s, g: GroupId) -> bool:
     the second member on, so every join has two real operands."""
     elems = _check_membership(s, g)
 
-    def extend(start: int, chain: list[BuildingElement], acc: LatticeElement) -> bool:
+    def extend(start: int, chain: list[BuildingElement], acc: LatticeElement | None) -> bool:
         for i in range(start, len(elems)):
             e = elems[i]
             if any(comparable(e, f) for f in chain):
@@ -367,7 +398,7 @@ def is_nested_def(s, g: GroupId) -> bool:
             chain.pop()
         return True
 
-    return extend(0, [], LatticeElement.bottom(g.r))
+    return extend(0, [], None)
 
 
 def bits(mask: int):
@@ -418,7 +449,6 @@ class _NestedUniverse:
     def __init__(self, g: GroupId, elems: tuple[BuildingElement, ...]):
         self.elems = elems
         nb, r = len(elems), g.r
-        self.dims = dims = []
         self.ok = ok = [0] * nb          # bit j: the pair {i,j} is nested
         self.below = below = [0] * nb    # bit j: elems[j] strictly inside elems[i]
         self.partner = partner = [-1] * nb  # the G(2,2,n) twin of elems[i]
@@ -426,7 +456,6 @@ class _NestedUniverse:
         blocks: dict[tuple, int] = {}    # (support bitmask, weights): that block
         weak = 0                         # bits of the blocks so far
         for i, a in enumerate(elems):
-            dims.append(a.dimension())
             s, w = a.mask, a.weights
             inside = holding = 0  # earlier elements inside a, and holding a
             for t, there in on.items():
@@ -468,6 +497,12 @@ class _NestedUniverse:
             if w:
                 blocks[s, w] = i
                 weak |= bit
+
+    @functools.cached_property
+    def dims(self) -> list[int]:
+        """The dimension of each element, for the walk's d-values; the
+        predicates never read it, so it is built on first use."""
+        return [e.dimension() for e in self.elems]
 
     def _join_decides(self, g: GroupId, i: int, j: int) -> None:
         """Set the pair {i,j} nested when the join of the two leaves the
@@ -529,9 +564,13 @@ def _nested_universe(s, g: GroupId) -> _NestedUniverse | None:
     which is back in the building set although every pair looks fine.
     """
     uni = _NestedUniverse(g, _check_membership(s, g))
-    full = (1 << len(uni.elems)) - 1
-    if any(ok | 1 << i != full for i, ok in enumerate(uni.ok)):
+    nb = len(uni.elems)
+    # no row of ok holds its own bit, so all pairs are nested exactly when
+    # the rows hold nb - 1 bits each
+    if sum(map(int.bit_count, uni.ok)) != nb * (nb - 1):
         return None
+    if max(uni.partner, default=-1) < 0:  # no twins
+        return uni
     twins = [i for i, j in enumerate(uni.partner) if j >= 0]
     if len(twins) > 2:
         return None

@@ -51,7 +51,7 @@ def test_admissible_function_valid():
     f = AdmissibleFunction.from_dict(g, {a: 1})
     assert f.support() == (a,)
     assert f.total() == 1
-    assert f.as_dict() == {a: 1}
+    assert dict(f.assignment) == {a: 1}
 
 
 def test_admissible_function_zero():
@@ -101,6 +101,22 @@ def test_admissible_function_refuses_non_integer_exponents(exponent):
     a = weak((1, 2, 3, 4), (0, 0, 0, 0), 1)
     with pytest.raises(ValueError, match="is not an integer"):
         AdmissibleFunction.from_dict(g, {a: exponent})
+
+
+@pytest.mark.parametrize("rpn", [(r, p, n) for r in (1, 2, 3) for p in sorted({1, r})
+                                 for n in (2, 3, 4, 5)],
+                         ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_d_value_of_the_maximal_members_inside_is_that_of_all(rpn):
+    # AdmissibleFunction joins only the maximal members inside each member;
+    # every member inside lies in one of them, so the join is the same
+    g = GroupId(*rpn)
+    for f in enumerate_admissible(g):
+        support = f.support()
+        for a in support:
+            inside = [x for x in support if x != a and contains(a, x)]
+            tops = [x for x in inside
+                    if not any(y != x and contains(y, x) for y in inside)]
+            assert d_value(tops, a, g) == d_value(inside, a, g), (rpn, f.to_obj(), a)
 
 
 def test_admissible_function_error_messages():
@@ -365,7 +381,7 @@ def encode_by_elements(f):
     pair, and each leaf's owner the smallest member holding it."""
     n = f.group.n
     elems = [a for a, _ in f.assignment]
-    expo = f.as_dict()
+    expo = dict(f.assignment)
 
     def parent_of(e):
         ups = [c for c in elems if c != e and contains(c, e)]
@@ -502,6 +518,17 @@ def test_malformed_exponent_out_of_range():
 def test_malformed_non_integer_entries(part, ground):
     with pytest.raises(MalformedPartition, match="is not an integer"):
         dec((part,), ground, GroupId(2, 1, 3))
+
+
+def test_malformed_non_integer_member_beside_int_members():
+    # the parts sort by their members before decode_partition reads them;
+    # a str member beside int members must not make that sort fail
+    parts = (Part((1, 2, 3), (0, 0, 0), 1), Part(("4",), (0,), 0))
+    wp = WeightedPartition(4, parts)
+    assert wp.parts == parts
+    assert WeightedPartition(4, parts[::-1]) == wp
+    with pytest.raises(MalformedPartition, match="is not an integer"):
+        decode_partition(wp, GroupId(1, 1, 3))
 
 
 def test_malformed_weight_out_of_range():

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from wondermodels import lattice
 from wondermodels.cohomology import _admissible_supports, _d_value, poincare_bruteforce
+from wondermodels.selftest import _nested_groups
 from wondermodels.lattice import (
     BuildingElement,
     GroupId,
@@ -210,6 +213,44 @@ def test_predicates_match_the_set_based_reference(g):
     assert not any(element_in_building(e, g) for e in outside)
 
 
+ORACLE_GROUPS = [GroupId(r, p, n) for r in (1, 2, 3) for p in sorted({1, r})
+                 for n in (2, 3, 4, 5)]
+
+
+def one_component_elements(r, n):
+    """Every canonical zero set and block of r on coordinates 1..n: the
+    building set's candidates, members or not."""
+    for size in range(1, n + 1):
+        for coords in itertools.combinations(range(1, n + 1), size):
+            yield S(coords, r)
+            if size >= 2:
+                for tail in itertools.product(range(r), repeat=size - 1):
+                    yield W(coords, (0,) + tail, r)
+
+
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=str)
+def test_element_in_building_is_in_building_of_the_view(g):
+    # element_in_building reads the element's facts; in_building reads a
+    # lattice view; both state the one-component rule through one helper
+    members = set(building_set(g))
+    for e in building_set(g):
+        assert element_in_building(e, g) and in_building(e.as_lattice(), g), e
+    for e in one_component_elements(g.r, g.n):
+        assert element_in_building(e, g) == in_building(e.as_lattice(), g) \
+            == (e in members), e
+    r, n = g.r, g.n
+    unnormalised = BuildingElement("weak", (1, 2), (1, 1), r)
+    forged = [W((1, 2), (0, 1 % r), r + 1), S((1, 2), r + 1),  # wrong r
+              W((1, n + 1), (0, 0), r), S((n + 1,), r),         # a coordinate above n
+              unnormalised]
+    if g.variant is Variant.RR and r == 2:
+        forged.append(S((1, 2), r))                             # a size-2 zero set
+    for e in forged:
+        assert not element_in_building(e, g), e
+    # the view of the unnormalised block is one component all the same
+    assert in_building(unnormalised.as_lattice(), g)
+
+
 def test_lattice_element_refuses_overlaps():
     with pytest.raises(ValueError):
         LatticeElement(2, (), (((1, 2), (0, 0)), ((2, 3), (0, 1))))
@@ -230,10 +271,15 @@ def test_stored_mask_and_view_leave_identity_alone(rpn):
     bs = building_set(g)
     for e in bs:
         fresh = BuildingElement(e.kind, e.support, e.weights, e.r)
-        assert e.mask == sum(1 << x for x in e.support)
+        assert e.mask == sum(1 << x for x in e.support) and e.is_canonical
         assert e.as_lattice() is e.as_lattice()
         assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
         assert not e < fresh and not fresh < e and e <= fresh
+        # the facts live in slots, with no instance dict, and copies rebuild them
+        assert not hasattr(e, "__dict__")
+        for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e and twin.r == e.r and twin.mask == e.mask
+            assert twin.is_canonical and twin.as_lattice() == e.as_lattice()
     assert [f.name for f in dataclasses.fields(BuildingElement)] == \
         ["kind", "support", "weights", "r"]
     # read views and masks on the cached set, sort a fresh one beside it
@@ -314,6 +360,17 @@ def test_is_nested_def_joins_no_bottom(monkeypatch):
             cand ^= 1 << i
             stack.append((cand & uni.ok[i], mask | 1 << i))
     assert (cliques, nested) == (94, 94) and not with_bottom, with_bottom
+
+
+def test_good_pairs_of_nested_equivalence_are_the_join_rule():
+    # check_nested_equivalence reads its good-pair adjacency from each
+    # pair's is_nested_def verdict; a pair is good when it is comparable
+    # or joins outside the building set
+    for g in _nested_groups():
+        for a, b in itertools.combinations(building_set(g), 2):
+            good = comparable(a, b) or \
+                not in_building(join(a.as_lattice(), b.as_lattice()), g)
+            assert is_nested_def((a, b), g) == good, (g, a, b)
 
 
 def test_in_building_by_variant():
