@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .cohomology import BUILDING_SET_GUARD, poincare_bruteforce
+from .cohomology import poincare_bruteforce
 from .formulas import (
     D3_DEGENERATE_NOTE,
     big_gamma,
@@ -115,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("series", "bruteforce", "both"),
                    default="both")
-    p.add_argument("--seed-guard", type=int, default=BUILDING_SET_GUARD,
-                   help="building set size limit for enumeration")
     _format_flag(p)
 
     f = sub.add_parser("fvector", help="f-vector of one nestohedron")
@@ -205,8 +203,6 @@ def _poincare_series(g: GroupId) -> QPolynomial:
 
 def run_poincare(args) -> int:
     g = GroupId(args.r, args.p, args.n)
-    if args.seed_guard < 1:
-        raise ValueError(f"--seed-guard must be at least 1, got {args.seed_guard}")
     note = None
     if 1 < g.p < g.r:
         note = f"Y_{{G({g.r},{g.p},{g.n})}} = Y_{{G({g.r},1,{g.n})}}"
@@ -218,7 +214,7 @@ def run_poincare(args) -> int:
                                 f"got r = {g.r}")
         values["series"] = _poincare_series(g)
     if args.method in ("bruteforce", "both"):
-        values["bruteforce"] = poincare_bruteforce(g, max_building=args.seed_guard)
+        values["bruteforce"] = poincare_bruteforce(g)
     poly, verdict = _compare(values)
     text = [f"{g} [{args.method}]: {poly}"]
     if verdict:

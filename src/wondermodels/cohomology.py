@@ -23,19 +23,14 @@ from dataclasses import dataclass
 from .lattice import (
     BuildingElement,
     GroupId,
-    GuardExceeded,
     _NestedUniverse,
     _nested_universe,
     bits,
-    building_elements,
     building_set,
     contains,
     d_value,
 )
 from .series import QPolynomial
-
-# largest building set the enumeration route walks (poincare --seed-guard)
-BUILDING_SET_GUARD = 5000
 
 
 class MalformedPartition(ValueError):
@@ -87,12 +82,6 @@ class AdmissibleFunction:
     def from_dict(cls, group: GroupId, mapping) -> "AdmissibleFunction":
         return cls(group, tuple(mapping.items()))
 
-    def support(self) -> tuple[BuildingElement, ...]:
-        return tuple(a for a, _ in self.assignment)
-
-    def total(self) -> int:
-        return sum(e for _, e in self.assignment)
-
     def to_obj(self) -> list[dict]:
         return [{"support": list(a.support),
                  "weights": list(a.weights),
@@ -119,8 +108,7 @@ def _d_value(uni, i: int, tops: int) -> int:
     return d
 
 
-def _admissible_supports(g: GroupId, weak_only: bool = False,
-                         max_building: int = BUILDING_SET_GUARD):
+def _admissible_supports(g: GroupId, weak_only: bool = False):
     """Yield (universe, mask, d-list) for every nested set all of whose
     members admit a positive exponent (d >= 2 throughout); the d-list
     pairs each member's index with its d-value.
@@ -140,14 +128,10 @@ def _admissible_supports(g: GroupId, weak_only: bool = False,
     member, and a place is only rewritten on another branch, after every
     set through this one.
 
-    The guard is checked first, by counting at most max_building + 1
-    building elements, so a group beyond it is refused before its
-    building set is built.
+    The guard is building_set's: a group whose building set is larger
+    than lattice.BUILDING_SET_GUARD is refused there, counted from the
+    set's sizes before any element is built.
     """
-    if sum(1 for _ in itertools.islice(building_elements(g), max_building + 1)) \
-            > max_building:
-        raise GuardExceeded(
-            f"building set of {g} has more than {max_building} elements")
     uni = _NestedUniverse(g, tuple(sorted(
         (e for e in building_set(g)
          if e.dimension() >= 2 and not (weak_only and e.is_strong)),
@@ -165,8 +149,7 @@ def _admissible_supports(g: GroupId, weak_only: bool = False,
         yield uni, mask, path[:mask.bit_count()]
 
 
-def poincare_bruteforce(g: GroupId,
-                        max_building: int = BUILDING_SET_GUARD) -> QPolynomial:
+def poincare_bruteforce(g: GroupId) -> QPolynomial:
     """Poincare polynomial by summing q^|f| over all admissible functions.
 
     Each support contributes the product over its members of
@@ -175,7 +158,7 @@ def poincare_bruteforce(g: GroupId,
     taken once.
     """
     tuples = Counter(tuple(sorted(d for _, d in ds))
-                     for _, _, ds in _admissible_supports(g, max_building=max_building))
+                     for _, _, ds in _admissible_supports(g))
     total = QPolynomial()
     for ds, count in tuples.items():
         poly = QPolynomial({0: count})
@@ -363,53 +346,53 @@ def decode_partition(p: WeightedPartition, g: GroupId) -> AdmissibleFunction:
 
     # greedy relabeling: repeatedly give the next label to the ready part
     # (all members resolved) of smallest (level, least leaf); this replays
-    # exactly the order encode_partition used
-    part_of_label: dict[int, Part] = {}
-    level: dict[Part, int] = {}
-    least: dict[Part, int] = {}
-    unassigned = list(p.parts)
+    # exactly the order encode_partition used.  Parts are kept by position
+    # in p.parts.
+    parts = p.parts
+    part_of_label: dict[int, int] = {}
+    level, least = [0] * k, [0] * k
+    unassigned = list(range(k))
     for lbl in range(n + 1, n + k + 1):
-        ready = [part for part in unassigned
-                 if all(mm <= n or mm in part_of_label for mm in part.members)]
         best = None
-        for part in ready:
-            lv = 1 + max((level[part_of_label[mm]] for mm in part.members if mm > n),
+        for i in unassigned:
+            members = parts[i].members
+            if not all(mm <= n or mm in part_of_label for mm in members):
+                continue
+            lv = 1 + max((level[part_of_label[mm]] for mm in members if mm > n),
                          default=0)
-            lf = min(mm if mm <= n else least[part_of_label[mm]]
-                     for mm in part.members)
+            lf = min(mm if mm <= n else least[part_of_label[mm]] for mm in members)
             if best is None or (lv, lf) < best[:2]:
-                best = (lv, lf, part)
+                best = (lv, lf, i)
         if best is None:
             raise MalformedPartition("parts reference labels circularly")
-        lv, lf, part = best
-        level[part], least[part] = lv, lf
-        part_of_label[lbl] = part
-        unassigned.remove(part)
+        lv, lf, i = best
+        level[i], least[i] = lv, lf
+        part_of_label[lbl] = i
+        unassigned.remove(i)
 
-    top = part_of_label[n + k]
-    if zero_parts and top is not zero_parts[0]:
+    if zero_parts and parts[part_of_label[n + k]] is not zero_parts[0]:
         raise MalformedPartition("exponent-0 part is not the top vertex")
 
-    support: dict[Part, dict[int, int]] = {}
+    support: dict[int, dict[int, int]] = {}
 
-    def resolve(part: Part) -> dict[int, int]:
-        if part not in support:
+    def resolve(i: int) -> dict[int, int]:
+        if i not in support:
             out: dict[int, int] = {}
-            for mm, a in zip(part.members, part.weights):
+            for mm, a in zip(parts[i].members, parts[i].weights):
                 if mm <= n:
                     out[mm] = a % r
                 else:
                     for x, w in resolve(part_of_label[mm]).items():
                         out[x] = (w + a) % r
-            support[part] = out
-        return support[part]
+            support[i] = out
+        return support[i]
 
     # each block is built as it stands: its weights are reduced mod r, and
     # validating the function refuses a block out of canonical form
     mapping = {}
-    for part in p.parts:
+    for i, part in enumerate(parts):
         if part.exponent:
-            wmap = resolve(part)
+            wmap = resolve(i)
             coords = tuple(sorted(wmap))
             if wmap[coords[0]] != 0:
                 raise MalformedPartition("weights not normalized at the least leaf")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -186,6 +187,10 @@ class BuildingElement(_Facts):
         return self.text()
 
 
+# the order of BuildingElement's fields, as a sort key
+_ORDER = operator.attrgetter("kind", "support", "weights")
+
+
 Block = tuple[tuple[int, ...], tuple[int, ...]]  # (support, weights)
 
 
@@ -301,24 +306,39 @@ def in_building(e: LatticeElement, g: GroupId) -> bool:
     return _one_component_in_building(True, len(e.zeros), g)
 
 
-def building_elements(g: GroupId):
-    """The irreducible subspaces for g, one at a time and unsorted: the
-    membership rule of the building set, which a caller may stop early
-    to bound the set's size without building it."""
-    n, r = g.n, g.r
-    for size in range(g.min_zero_set, n + 1):
-        for coords in itertools.combinations(range(1, n + 1), size):
-            yield BuildingElement.strong(coords, r)
-    for size in range(2, n + 1):
-        for coords in itertools.combinations(range(1, n + 1), size):
-            for tail in itertools.product(range(r), repeat=size - 1):
-                yield BuildingElement("weak", coords, (0,) + tail, r)
+# largest building set the enumeration route walks; no flag changes it
+BUILDING_SET_GUARD = 5000
 
 
 @functools.lru_cache(maxsize=None)
 def building_set(g: GroupId) -> tuple[BuildingElement, ...]:
-    """All irreducible subspaces for g, sorted (strongs first, then by support)."""
-    return tuple(sorted(building_elements(g)))
+    """All irreducible subspaces for g, sorted (strongs first, then by support).
+
+    The membership rule says, for each support size, whether its zero
+    sets and its blocks are members: one zero set and r^(size-1) blocks
+    on each support.  The set's size is counted from those answers first,
+    and a set larger than BUILDING_SET_GUARD is refused with
+    GuardExceeded before any element is built.
+    """
+    n, r = g.n, g.r
+    sizes, count = [], 0  # (size, zero sets admitted, blocks admitted)
+    for size in range(1, n + 1):
+        zero = _one_component_in_building(True, size, g)
+        block = _one_component_in_building(False, size, g)
+        count += math.comb(n, size) * (zero + block * r ** (size - 1))
+        if count > BUILDING_SET_GUARD:
+            raise GuardExceeded(
+                f"building set of {g} has more than {BUILDING_SET_GUARD} elements")
+        sizes.append((size, zero, block))
+    elems = []
+    for size, zero, block in sizes:
+        for coords in itertools.combinations(range(1, n + 1), size):
+            if zero:
+                elems.append(BuildingElement("strong", coords, (), r))
+            if block:
+                elems += [BuildingElement("weak", coords, (0,) + tail, r)
+                          for tail in itertools.product(range(r), repeat=size - 1)]
+    return tuple(sorted(elems, key=_ORDER))
 
 
 def _restricted(block: BuildingElement, mask: int, r: int) -> tuple[int, ...]:
@@ -358,10 +378,6 @@ def element_in_building(e: BuildingElement, g: GroupId) -> bool:
     the facts the element decided at construction, with no lattice view."""
     return (e.is_canonical and e.r == g.r and not e.mask & ~((2 << g.n) - 2)
             and _one_component_in_building(e.kind == "strong", len(e.support), g))
-
-
-# the order of BuildingElement's fields, as a sort key
-_ORDER = operator.attrgetter("kind", "support", "weights")
 
 
 def _check_membership(s, g: GroupId) -> tuple[BuildingElement, ...]:
@@ -431,12 +447,11 @@ class _NestedUniverse:
         incomparable;
       - incomparable pairs whose supports meet are not nested: their join
         is one component on the union of the supports.  A block there is
-        in the building set.  A zero set arises only for r >= 2, and it
-        is in the building set too when the union has min_zero_set
-        points: 1 for p < r; 2 for p = r >= 3, and every member has two;
-        3 for G(2,2,n), whose zero sets have three.  The one exception is
-        the twins of G(2,2,n), the two blocks on one 2-point support:
-        their join is a 2-point zero set, outside the building set, so
+        in the building set, and a zero set (r >= 2 only) is too, by the
+        membership rule of _one_component_in_building, on any union but
+        one support of two blocks.  The one exception is twins: two
+        blocks on one support whose zero set the rule leaves out (the
+        2-point supports of G(2,2,n)).  Their join is that zero set, so
         the pair is nested; twins are left to the join;
       - disjoint supports: the join of the two elements' lattice views,
         which each element builds once and keeps, decides.
@@ -477,7 +492,7 @@ class _NestedUniverse:
                             inside |= 1 << j
                 elif there & ~weak:  # a is a block, after the zero set on its support
                     holding |= there & ~weak
-                elif len(a.support) == 2 and g.variant is Variant.RR and r == 2:  # twins
+                elif not _one_component_in_building(True, len(a.support), g):  # twins
                     j = there.bit_length() - 1
                     partner[i], partner[j] = j, i
                     self._join_decides(g, i, j)

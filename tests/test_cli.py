@@ -61,19 +61,20 @@ def test_poincare_bruteforce_only_has_no_verdict(capsys):
 
 
 def test_poincare_guard_violation(capsys):
-    code, _ = run_cli(capsys, "poincare", "--r", "2", "--p", "1", "--n", "8",
-                      "--method", "bruteforce", "--seed-guard", "50")
+    # |B| = 10343, beyond the building-set guard of 5000
+    code, _ = run_cli(capsys, "poincare", "--r", "2", "--p", "1", "--n", "9",
+                      "--method", "bruteforce")
     assert code == 3
 
 
-@pytest.mark.parametrize("guard", ["-1", "0"])
-@pytest.mark.parametrize("method", ["bruteforce", "series"])
-def test_poincare_seed_guard_below_one_is_a_bad_argument(capsys, guard, method):
-    code = cli.main(["poincare", "--r", "2", "--p", "1", "--n", "3",
-                     "--method", method, "--seed-guard", guard])
+def test_poincare_has_no_guard_option(capsys):
+    # the building-set guard is a constant; no flag changes it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["poincare", "--r", "2", "--p", "1", "--n", "3",
+                  "--method", "bruteforce", "--seed-guard", "50"])
     captured = capsys.readouterr()
-    assert code == 4 and captured.out == ""
-    assert f"--seed-guard must be at least 1, got {guard}" in captured.err
+    assert exc.value.code == 4 and captured.out == ""
+    assert "unrecognized arguments: --seed-guard 50" in captured.err
 
 
 # one query per cap, and B and D each under their shared one

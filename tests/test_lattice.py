@@ -20,7 +20,6 @@ from wondermodels.lattice import (
     _NestedUniverse,
     _normalize_block,
     bits,
-    building_elements,
     building_set,
     comparable,
     contains,
@@ -66,6 +65,19 @@ def oracle_nested_masks(uni):
             yield from dfs(cand & uni.ok[i], mask | 1 << i, new_pair)
 
     yield from dfs((1 << len(uni.elems)) - 1, 0, -1)
+
+
+def oracle_building_elements(g):
+    """The irreducible subspaces for g, unsorted, size by size: the zero
+    sets from min_zero_set points on, then the blocks on every support."""
+    n, r = g.n, g.r
+    for size in range(g.min_zero_set, n + 1):
+        for coords in itertools.combinations(range(1, n + 1), size):
+            yield BuildingElement.strong(coords, r)
+    for size in range(2, n + 1):
+        for coords in itertools.combinations(range(1, n + 1), size):
+            for tail in itertools.product(range(r), repeat=size - 1):
+                yield BuildingElement("weak", coords, (0,) + tail, r)
 
 
 def nested_sets(g):
@@ -142,6 +154,7 @@ def test_text_forms():
     ((2, 1, 2), 5), ((2, 1, 3), 17), ((2, 1, 4), 51),
     ((3, 1, 3), 25), ((3, 1, 4), 96), ((4, 1, 3), 35),
     ((2, 2, 3), 11), ((2, 2, 4), 41), ((3, 3, 3), 22), ((3, 3, 4), 92),
+    ((7, 1, 5), 4707),  # the guard admits up to 5000
 ])
 def test_building_set_sizes(rpn, size):
     assert len(building_set(GroupId(*rpn))) == size
@@ -152,6 +165,54 @@ def test_building_set_is_sorted_and_deterministic():
     assert list(bs) == sorted(bs)
     assert all(e.is_strong for e in bs[:1])  # only {0,1,2,3} survives r=2 size>=3
     assert bs[0].support == (1, 2, 3)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_building_set_is_the_oracle_or_refused(r):
+    # generated from the membership rule, size by size; a set beyond the
+    # guard is refused, whatever its group
+    for p in [p for p in range(1, r + 1) if r % p == 0]:
+        for n in range(2, 7):
+            g = GroupId(r, p, n)
+            want = tuple(sorted(oracle_building_elements(g)))
+            if len(want) > lattice.BUILDING_SET_GUARD:
+                with pytest.raises(GuardExceeded):
+                    building_set(g)
+            else:
+                assert building_set(g) == want, g
+
+
+@pytest.mark.parametrize("rpn,size", [((1, 1, 13), 8178), ((2, 1, 9), 10343)],
+                         ids=["G(1,1,13)", "G(2,1,9)"])
+def test_building_set_refuses_beyond_the_guard_before_building(rpn, size, monkeypatch):
+    # the set is counted from its sizes, so no element is built to refuse it
+    g = GroupId(*rpn)
+    assert sum(1 for _ in oracle_building_elements(g)) == size
+    built = []
+    post_init = BuildingElement.__post_init__
+    monkeypatch.setattr(BuildingElement, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    with pytest.raises(GuardExceeded, match=r"more than 5000 elements"):
+        building_set(g)
+    assert built == []
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("same_p", [False, True], ids=["p=1", "p=r"])
+def test_two_blocks_on_one_support_nested_by_the_definition(r, same_p):
+    # the twins rule of the universe build, held against the definition on
+    # every pair of distinct blocks on one 2- or 3-point support
+    g = GroupId(r, r if same_p else 1, 4)
+    by_support = {}
+    for e in building_set(g):
+        if not e.is_strong and len(e.support) <= 3:
+            by_support.setdefault(e.support, []).append(e)
+    pairs = 0
+    for blocks in by_support.values():
+        for a, b in itertools.combinations(blocks, 2):
+            assert is_nested({a, b}, g) == is_nested_def({a, b}, g), (a, b)
+            pairs += 1
+    assert pairs == 6 * r * (r - 1) // 2 + 4 * r * r * (r * r - 1) // 2
 
 
 def test_type_a_has_no_strong_elements():
@@ -283,7 +344,7 @@ def test_stored_mask_and_view_leave_identity_alone(rpn):
     assert [f.name for f in dataclasses.fields(BuildingElement)] == \
         ["kind", "support", "weights", "r"]
     # read views and masks on the cached set, sort a fresh one beside it
-    assert bs == tuple(sorted(building_elements(g)))
+    assert bs == tuple(sorted(oracle_building_elements(g)))
     assert list(bs) == sorted(bs, key=lambda e: (e.kind, e.support, e.weights))
 
 
@@ -540,8 +601,8 @@ def test_nested_masks_is_the_oracle_without_twins(rpn):
 
 def test_enumerate_nested_sets_guard():
     # the building-set guard of the nested-set walk, reached through its caller
-    with pytest.raises(GuardExceeded):  # |B| = 96
-        poincare_bruteforce(GroupId(3, 1, 4), max_building=50)
+    with pytest.raises(GuardExceeded):  # |B| = 5581
+        poincare_bruteforce(GroupId(3, 1, 7))
 
 
 def test_d_value():
