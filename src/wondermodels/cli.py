@@ -186,7 +186,8 @@ def _check_series_n(verb: str, family: str, n: int) -> None:
 
 def _poincare_series(g: GroupId) -> QPolynomial:
     """The series answer, checked against Poincare duality: palindromic
-    of degree the complex dimension of the model."""
+    of degree the complex dimension of the model; and against hard
+    Lefschetz (the model is smooth projective): unimodal."""
     if g.variant is Variant.TYPE_A:
         poly, dim = poincare_from_psi(g.n), g.n - 2
     else:
@@ -198,6 +199,10 @@ def _poincare_series(g: GroupId) -> QPolynomial:
     if poly.degree() != dim or not poly.is_palindromic():
         raise ArithmeticError(f"series Poincare polynomial {poly} of {g} is not "
                               f"palindromic of degree {dim}")
+    # palindromic, so unimodal exactly when nondecreasing up to the middle
+    rising = [poly[e] for e in range(dim // 2 + 1)]
+    if rising != sorted(rising):
+        raise ArithmeticError(f"series Poincare polynomial {poly} of {g} is not unimodal")
     return poly
 
 

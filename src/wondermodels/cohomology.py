@@ -45,10 +45,9 @@ class AdmissibleFunction:
     1 <= f(A) <= d(A) - 1; elements outside the support carry 0 implicitly.
     It is kept sorted by element, in the order of the universe that
     decides the support is nested, which sorts the members once.  Each
-    d-value is lattice.d_value over the maximal members inside A alone:
-    every member inside A lies inside one of them, so their join is the
-    join of all the members inside A.  With no member inside, d(A) is the
-    dimension of A, and there is nothing to join.
+    d-value is read off that universe by lattice.d_value, the rule the
+    enumeration's walk uses, from the maximal members inside A: the
+    members inside A that lie inside no other member inside A.
     """
 
     group: GroupId
@@ -64,17 +63,14 @@ class AdmissibleFunction:
         uni = _nested_universe(exponents, self.group)
         if uni is None:
             raise ValueError("support is not nested")
-        elems, below = uni.elems, uni.below
+        below = uni.below
         object.__setattr__(self, "assignment",
-                           tuple((a, int(exponents[a])) for a in elems))
-        for (a, e), inside in zip(self.assignment, below):
-            if inside:
-                under = 0  # the members below some member inside a
-                for j in bits(inside):
-                    under |= below[j]
-                d = d_value([elems[j] for j in bits(inside & ~under)], a, self.group)
-            else:
-                d = a.dimension()
+                           tuple((a, int(exponents[a])) for a in uni.elems))
+        for i, (a, e) in enumerate(self.assignment):
+            under = 0  # the members below some member inside a
+            for j in bits(below[i]):
+                under |= below[j]
+            d = d_value(uni, i, below[i] & ~under)
             if not 1 <= e <= d - 1:
                 raise ValueError(f"exponent {e} for {a} outside 1..{d - 1}")
 
@@ -87,25 +83,6 @@ class AdmissibleFunction:
                  "weights": list(a.weights),
                  "strong": a.is_strong,
                  "exponent": e} for a, e in self.assignment]
-
-
-def _d_value(uni, i: int, tops: int) -> int:
-    """d-value of element i over the universe uni: dims[i] minus the
-    dimensions of tops & below[i], which must be the maximal members of
-    its nested set strictly inside it.
-
-    Those members span a direct sum (De Concini-Procesi), so the join of
-    everything inside elems[i] has their summed dimension; lattice.d_value
-    computes the same number by joining, and the tests hold the two
-    against each other.
-    """
-    d, dims = uni.dims[i], uni.dims
-    inside = tops & uni.below[i]
-    while inside:
-        low = inside & -inside
-        inside ^= low
-        d -= dims[low.bit_length() - 1]
-    return d
 
 
 def _admissible_supports(g: GroupId, weak_only: bool = False):
@@ -121,12 +98,13 @@ def _admissible_supports(g: GroupId, weak_only: bool = False):
     Two members that hold a common member are comparable (their sum is
     not direct), so the maximal members inside a newcomer i are the
     maximal members of the set it joins that lie inside it: tops &
-    below[i], with tops as nested_masks hands it to the veto.  So the
-    veto computes the d-value once, when the member joins, and keeps it
-    at the member's place in the set, which the d-list reads back:
-    nested_masks yields each set right after the veto passed its newest
-    member, and a place is only rewritten on another branch, after every
-    set through this one.
+    below[i], with tops as nested_masks hands it to the veto, which is
+    what lattice.d_value reads.  So the veto reads the d-value off the
+    universe once, when the member joins, and keeps it at the member's
+    place in the set, which the d-list reads back: nested_masks yields
+    each set right after the veto passed its newest member, and a place
+    is only rewritten on another branch, after every set through this
+    one.
 
     The guard is building_set's: a group whose building set is larger
     than lattice.BUILDING_SET_GUARD is refused there, counted from the
@@ -141,7 +119,7 @@ def _admissible_supports(g: GroupId, weak_only: bool = False):
     def veto(i: int, newmask: int, tops: int) -> bool:
         # every earlier member passed this test and its d-value is final;
         # a newcomer at d <= 1 stays there in every extension
-        d = _d_value(uni, i, tops)
+        d = d_value(uni, i, tops)
         path[newmask.bit_count() - 1] = (i, d)
         return d <= 1
 
@@ -196,9 +174,6 @@ class Part:
         if len(self.members) != len(self.weights):
             raise MalformedPartition(f"{len(self.members)} members but "
                                      f"{len(self.weights)} weights")
-
-    def weight_of(self, m: int) -> int:
-        return self.weights[self.members.index(m)]
 
     def text(self) -> str:
         items = [str(m) if a == 0 else f"{m}^{a}"

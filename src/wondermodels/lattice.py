@@ -211,13 +211,6 @@ class LatticeElement:
                 raise ValueError("blocks must be disjoint from each other and the zero set")
             seen |= set(support)
 
-    @classmethod
-    def bottom(cls, r: int) -> "LatticeElement":
-        return cls(r, (), ())
-
-    def dimension(self) -> int:
-        return len(self.zeros) + sum(len(s) - 1 for s, _ in self.blocks)
-
     def component_count(self) -> int:
         return (1 if self.zeros else 0) + len(self.blocks)
 
@@ -273,22 +266,6 @@ def join(a: LatticeElement, b: LatticeElement) -> LatticeElement:
         else:
             zeros.update(comp)
     return LatticeElement(r, tuple(sorted(zeros)), tuple(sorted(blocks)))
-
-
-def join_all(elements, r: int) -> LatticeElement:
-    """The join of elements (BuildingElements or LatticeElements of r).
-
-    The join of one element is that element, so the fold starts from the
-    lattice view of the first and joins only from the second on; bottom(r)
-    comes back only when elements is empty.  A first element of another r
-    is refused with ValueError, as join refuses the pair.
-    """
-    views = [e.as_lattice() if isinstance(e, BuildingElement) else e for e in elements]
-    if not views:
-        return LatticeElement.bottom(r)
-    if views[0].r != r:
-        raise ValueError("lattice elements from different r")
-    return functools.reduce(join, views)
 
 
 def _one_component_in_building(strong: bool, size: int, g: GroupId) -> bool:
@@ -515,7 +492,7 @@ class _NestedUniverse:
 
     @functools.cached_property
     def dims(self) -> list[int]:
-        """The dimension of each element, for the walk's d-values; the
+        """The dimension of each element, which d_value reads; the
         predicates never read it, so it is built on first use."""
         return [e.dimension() for e in self.elems]
 
@@ -567,6 +544,25 @@ class _NestedUniverse:
         return dfs((1 << len(self.elems)) - 1, 0, 0)
 
 
+def d_value(uni: _NestedUniverse, i: int, tops: int) -> int:
+    """The d-value of element i of uni in a nested set: dims[i] minus the
+    dimensions of tops & below[i], which must be the maximal members of
+    the set strictly inside element i.
+
+    d is dim A minus the dimension of the join of the members inside A.
+    Every member inside A lies inside a maximal one, and the maximal ones
+    span a direct sum (De Concini-Procesi), so that join has their summed
+    dimension.  With no member inside, d is dim A.
+    """
+    dims = uni.dims
+    d, inside = dims[i], tops & uni.below[i]
+    while inside:
+        low = inside & -inside
+        inside ^= low
+        d -= dims[low.bit_length() - 1]
+    return d
+
+
 def _nested_universe(s, g: GroupId) -> _NestedUniverse | None:
     """The universe over the sorted members of s when s is nested, else
     None.
@@ -599,12 +595,3 @@ def is_nested(s, g: GroupId) -> bool:
     """Nestedness of a set of building elements, by the universe's rule."""
     return _nested_universe(s, g) is not None
 
-
-def d_value(h, b: BuildingElement, g: GroupId) -> int:
-    """dim b minus the dimension of the join of h, for h strictly inside b."""
-    helems = _check_membership(h, g)
-    _check_membership([b], g)
-    for x in helems:
-        if x == b or not contains(b, x):
-            raise ValueError(f"{x} is not strictly contained in {b}")
-    return b.dimension() - join_all(helems, g.r).dimension()

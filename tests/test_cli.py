@@ -11,6 +11,7 @@ import pytest
 
 import wondermodels.cli as cli
 from wondermodels.polytopes import gamma_vector, h_vector
+from wondermodels.series import QPolynomial
 
 
 def run_cli(capsys, *argv):
@@ -291,6 +292,22 @@ for route, argv in (("poincare_from_psi", ["--n", "3"]),
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2"] * 6
     assert proc.stderr.count("is not palindromic of degree") == 6
+
+
+@pytest.mark.parametrize("coeffs", [{0: 1, 1: 3, 2: 1, 3: 3, 4: 1}, {0: 2, 2: 1, 4: 2}],
+                         ids=["dip", "zero-gaps"])
+def test_series_poincare_hard_lefschetz(capsys, monkeypatch, coeffs):
+    # a palindromic answer of the right degree whose coefficients dip before
+    # the middle (zero coefficients included) breaks hard Lefschetz: exit 2
+    poly = QPolynomial(coeffs)
+    for route, argv in (("poincare_from_psi", ["--n", "6"]),
+                        ("poincare_from_phi", ["--r", "2", "--n", "5"]),
+                        ("poincare_from_phi", ["--r", "2", "--p", "2", "--n", "5"])):
+        monkeypatch.setattr(cli, route, lambda *args: poly)
+        code = cli.main(["poincare", "--method", "series", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv
+        assert err.startswith("inconsistency: ") and "is not unimodal" in err, err
 
 
 def test_series_poincare_of_reducible_g222_is_a_point(capsys):

@@ -1,5 +1,6 @@
 """Tests for admissible-function enumeration and the partition bijection."""
 
+import re
 import subprocess
 import sys
 import time
@@ -28,9 +29,8 @@ from wondermodels.lattice import (
     bits,
     building_set,
     contains,
-    d_value,
 )
-from test_lattice import UNIVERSE_GROUPS, oracle_nested_masks, spy_joins
+from test_lattice import UNIVERSE_GROUPS, oracle_d_value, oracle_nested_masks, spy_joins
 
 
 def weak(coords, weights, r):
@@ -106,8 +106,9 @@ def test_admissible_function_refuses_non_integer_exponents(exponent):
                                  for n in (2, 3, 4, 5)],
                          ids="G({0[0]},{0[1]},{0[2]})".format)
 def test_d_value_of_the_maximal_members_inside_is_that_of_all(rpn):
-    # AdmissibleFunction joins only the maximal members inside each member;
-    # every member inside lies in one of them, so the join is the same
+    # AdmissibleFunction reads each d-value off the maximal members inside
+    # each member; every member inside lies in one of them, so the join is
+    # the same
     g = GroupId(*rpn)
     for f in enumerate_admissible(g):
         support = [a for a, _ in f.assignment]
@@ -115,7 +116,8 @@ def test_d_value_of_the_maximal_members_inside_is_that_of_all(rpn):
             inside = [x for x in support if x != a and contains(a, x)]
             tops = [x for x in inside
                     if not any(y != x and contains(y, x) for y in inside)]
-            assert d_value(tops, a, g) == d_value(inside, a, g), (rpn, f.to_obj(), a)
+            assert oracle_d_value(tops, a, g) == oracle_d_value(inside, a, g), \
+                (rpn, f.to_obj(), a)
 
 
 def test_admissible_function_error_messages():
@@ -274,7 +276,7 @@ def test_admissible_supports_are_the_nested_sets_with_d_at_least_2(rpn, weak_onl
         members = [e for i, e in enumerate(full.elems) if mask >> i & 1]
         if weak_only and any(e.is_strong for e in members):
             continue
-        ds = {a: d_value([c for c in members if c != a and contains(a, c)], a, g)
+        ds = {a: oracle_d_value([c for c in members if c != a and contains(a, c)], a, g)
               for a in members}
         if all(d >= 2 for d in ds.values()):
             want[frozenset(members)] = ds
@@ -286,6 +288,34 @@ def test_admissible_supports_are_the_nested_sets_with_d_at_least_2(rpn, weak_onl
     assert got == want
 
 
+@pytest.mark.parametrize("rpn", [(1, 1, 7), (2, 1, 6)], ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_validation_bounds_exponents_at_the_d_value_of_a_direct_sum(rpn):
+    # a member with two or more maximal members inside: its exponent may
+    # reach d - 1, by the join of everything inside, and not d.  These are
+    # the smallest groups with such a member in an admissible support: two
+    # members of dimension >= 2 inside one of d >= 2 need dimension 6
+    g = GroupId(*rpn)
+    cases = 0
+    for uni, _, ds in _admissible_supports(g):
+        support = [uni.elems[i] for i, _ in ds]
+        for a in support:
+            inside = [c for c in support if c != a and contains(a, c)]
+            tops = [c for c in inside if not any(x != c and contains(x, c) for x in inside)]
+            if len(tops) < 2:
+                continue
+            d = oracle_d_value(inside, a, g)
+            mapping = dict.fromkeys(support, 1)
+            mapping[a] = d
+            with pytest.raises(ValueError, match=re.escape(f"exponent {d} for {a} "
+                                                           f"outside 1..{d - 1}")):
+                AdmissibleFunction.from_dict(g, mapping)
+            mapping[a] = d - 1
+            f = AdmissibleFunction.from_dict(g, mapping)
+            assert dict(f.assignment) == mapping
+            cases += 1
+    assert cases, rpn
+
+
 # ---------------------------------------------------------------------------
 # weighted partitions
 
@@ -293,7 +323,6 @@ def test_admissible_supports_are_the_nested_sets_with_d_at_least_2(rpn, weak_onl
 def test_part_text():
     p = Part((2, 8, 11, 14), (0, 0, 0, 2), 2)
     assert p.text() == "{2, 8, 11, 14^2}^2"
-    assert p.weight_of(14) == 2
 
 
 def test_partition_sorts_parts():
@@ -433,8 +462,8 @@ def test_encode_matches_the_reference_encoder():
 
 
 def test_admissible_function_joins_no_bottom(monkeypatch):
-    # every function, not the all-weak ones alone: no all-weak function of
-    # G(3,1,4) has a member inside another, so none reaches d_value's join
+    # every function, not the all-weak ones alone: validation joins only
+    # while its universe decides the support is nested
     g = GroupId(3, 1, 4)
     fs = list(enumerate_admissible(g))
     with_bottom = spy_joins(monkeypatch)

@@ -83,6 +83,23 @@ def test_one_substitution_step_in_the_formula_layer():
     assert calls["integrate_t"] == 1
 
 
+def test_one_d_value_rule():
+    # the d-value is read off the universe's dimensions by lattice.d_value
+    # alone, so the walk's veto and validation share one rule: no other
+    # function defines a d-value or reads dims
+    found = []
+    for path, tree in _trees():
+        for func in ast.walk(tree):
+            if (not isinstance(func, ast.FunctionDef)
+                    or (path.name, func.name) == ("lattice.py", "d_value")):
+                continue
+            if "d_value" in func.name:
+                found.append(f"{path.name}:{func.lineno} {func.name}")
+            found += [f"{path.name}:{node.lineno} reads dims" for node in ast.walk(func)
+                      if isinstance(node, ast.Attribute) and node.attr == "dims"]
+    assert found == []
+
+
 def test_a_grade_bound_is_only_forwarded():
     # builders and kernel calls pass on the bound they were given, so the
     # one place that sets a grade bound is _substituted's call of its source:
