@@ -36,6 +36,7 @@ from .formulas import (
     k_series,
     phi_full_monomial,
     phi_rr,
+    phi_slice,
     poincare_from_phi,
     poincare_from_psi,
     psi_series,
@@ -62,7 +63,7 @@ EXIT_BADARGS = 4
 DUMP_TRUNC_GUARD = 12
 
 # The largest n the series route answers, per verb and per family whose
-# cost differs (B and D share one cap, sized on D, the costlier), and the
+# cost differs (B and D share one cap, sized on the costlier), and the
 # largest r of poincare by series, whose coefficients grow with r; at its
 # caps each verb answers within about 10 s on a 2-core host (README,
 # "Guards and conventions").  Beyond a cap a verb refuses with exit 3
@@ -73,7 +74,7 @@ SERIES_N_GUARD = {
     ("fvector", "A"): 170,
     ("fvector", "B, D"): 100,
     ("euler", "A"): 250,
-    ("euler", "B, D"): 100,
+    ("euler", "B, D"): 200,
 }
 SERIES_R_GUARD = 1024
 
@@ -192,7 +193,7 @@ def _poincare_series(g: GroupId) -> QPolynomial:
         poly, dim = poincare_from_psi(g.n), g.n - 2
     else:
         phi = phi_rr if g.variant is Variant.RR else phi_full_monomial
-        poly, dim = poincare_from_phi(phi(g.r, g.n), g.n), g.n - 1
+        poly, dim = poincare_from_phi(phi_slice(phi, g.r, g.n), g.n), g.n - 1
     if (g.r, g.p, g.n) == (2, 2, 2):
         # the one reducible group (S_2 x S_2): its model is a point
         dim = 0

@@ -26,8 +26,23 @@ term's t-degree is its grade t - z, so only grades up to d are read.  The
 source's exp, 1/(1-s) and products drop every term of grade above d.  This
 is exact: no term has z > t (assert_degree_bounds), and grades add under a
 product and each recurrence step, so a dropped term only ever feeds terms
-above d.  The named series of series-dump are built without a bound, with
-every grade up to trunc.
+above d.
+
+That grade bound is one half of a window: the t-slices n..top and the
+grades up to d that a reader of a series reads.  Each readout states its
+window once, and _substituted states its source's (slices 0..w, grades up
+to d); _window is the one place that hands a window to a builder, and
+every builder and kernel call below it only passes it on.  The other half,
+the slice start n, goes to the last product of a series read at t^n alone:
+1/(1-Gamma) * calK in phi (the r = 2 twist multiplies 1/(1-Gamma) first)
+and num * 1/(1 - w tildeGamma) in f_cy D.  A product's slice n depends only
+on the operands' slices up to n, so it is formed alone; a recurrence needs
+every slice below the one read, so exp and 1/(1-s) take no start.
+fvector_typeA reads f_typeA at grade n - 1 alone, through the same rule as
+a source.  The B/D Euler series substitutes t -> -t and w -> -1/2 in the
+pieces of f_cy's formula before inverting, as a ring homomorphism allows,
+so 1/(1-s) runs on a series in t alone.  The named series of series-dump
+and selftest are built without a window, every slice and grade up to trunc.
 """
 
 from __future__ import annotations
@@ -106,12 +121,21 @@ def gamma_series(r: int, trunc: int, literal_reading: bool = False,
     return assert_degree_bounds(mul(pre, blocks, bound=bound))
 
 
+def _window(build, top: int, n: int, d: int) -> TruncatedSeries:
+    """build(top, start=n, bound=d): the series through t^top as a reader
+    of its slices n..top at grades up to d needs it.  The one place that
+    sets a window (module docstring); build passes each half on to the
+    kernel calls that can use it, or leaves it out."""
+    return build(top, start=n, bound=d)
+
+
 def _substituted(build, trunc: int, ratio: int, integrate: bool) -> TruncatedSeries:
     """build(w, d) with z replaced by d/dt, integrated in t if asked, to
     t^trunc; w and the grade bound d follow the module docstring, for a
     source whose z^s terms ride with at least ratio * s powers of t."""
     d = trunc - 1 if integrate else trunc
-    out = subst_z_derivative(build(max(trunc, d + d // (ratio - 1)), d))
+    out = subst_z_derivative(_window(lambda w, start, bound: build(w, bound),
+                                     max(trunc, d + d // (ratio - 1)), 0, d))
     if integrate:
         out = integrate_t(out)
     return truncated(out, trunc)
@@ -129,29 +153,32 @@ def cal_k(r: int, trunc: int) -> TruncatedSeries:
                _substituted(lambda w, bound: k_series(r, w, bound=bound), trunc, 3, True))
 
 
-def phi_full_monomial(r: int, trunc: int,
-                      literal_reading: bool = False) -> TruncatedSeries:
-    """Poincare series of the models Y_{G(r,p,n)}, p < r: 1/(1-Gamma) * calK."""
+def phi_full_monomial(r: int, trunc: int, literal_reading: bool = False, *,
+                      start: int = 0) -> TruncatedSeries:
+    """Poincare series of the models Y_{G(r,p,n)}, p < r: 1/(1-Gamma) * calK,
+    its slices below start left empty."""
     if r < 2:
         raise ValueError("full monomial series needs r >= 2")
     return mul(invert_one_minus(big_gamma(r, trunc, literal_reading)),
-               cal_k(r, trunc))
+               cal_k(r, trunc), start=start)
 
 
-def phi_rr(r: int, trunc: int) -> TruncatedSeries:
-    """Poincare series of the models Y_{G(r,r,n)}.
+def phi_rr(r: int, trunc: int, *, start: int = 0) -> TruncatedSeries:
+    """Poincare series of the models Y_{G(r,r,n)}, its slices below start
+    left empty.
 
     For r >= 3 this coincides with the full monomial series; for r = 2 the
     zero sets of size two leave the building set and the series picks up
-    the factor (1 - q t^2/2).
+    the factor (1 - q t^2/2).  That factor multiplies 1/(1-Gamma) before
+    calK does, so the last product is the windowed one.
     """
     if r < 2:
         raise ValueError("rr series needs r >= 2")
-    full = phi_full_monomial(r, trunc)
     if r >= 3:
-        return full
-    twist = add(T.one(trunc), T.monomial(trunc, Fraction(-1, 2), eq=1, et=2))
-    return mul(twist, full)
+        return phi_full_monomial(r, trunc, start=start)
+    twist = T.from_slices(trunc, [{(0, 0, 0): 1}, {}, {(1, 0, 0): -1}])
+    return mul(mul(twist, invert_one_minus(big_gamma(r, trunc))), cal_k(r, trunc),
+               start=start)
 
 
 def _exact(num: int, den: int, problem: str) -> int:
@@ -174,6 +201,12 @@ def poincare_from_psi(n: int) -> QPolynomial:
     return poincare_from_phi(_substituted(psi_series, n - 1, 3, False), n - 1)
 
 
+def phi_slice(phi, r: int, n: int) -> TruncatedSeries:
+    """phi(r, n), phi being phi_full_monomial or phi_rr, as poincare_from_phi
+    reads it at t^n: its last product forms slice n alone."""
+    return _window(lambda w, start, bound: phi(r, w, start=start), n, n, n)
+
+
 def poincare_from_phi(phi: TruncatedSeries, n: int) -> QPolynomial:
     """n! times the t^n coefficient of a Poincare series, as a q-polynomial."""
     if not 0 <= n <= phi.trunc:
@@ -194,13 +227,14 @@ def _exp_z_minus_one(trunc: int, num, bound: int | None = None) -> TruncatedSeri
     return add(exp(arg, bound=bound), scale(T.one(trunc), -1))
 
 
-def f_typeA(trunc: int) -> TruncatedSeries:
+def f_typeA(trunc: int, bound: int | None = None) -> TruncatedSeries:
     """exp(z t^2/(1-t)) - 1: faces of type A nestohedra via plane trees.
 
     (n+s-1)! times the z^s t^(n+s-1) coefficient counts plane rooted forests
-    with s internal vertices on n labeled leaves.
+    with s internal vertices on n labeled leaves.  With a bound, only the
+    terms of grade t - z up to it.
     """
-    return _exp_z_minus_one(trunc, math.factorial)
+    return _exp_z_minus_one(trunc, math.factorial, bound=bound)
 
 
 def kirkman_cayley(n: int, s: int) -> int:
@@ -214,10 +248,11 @@ def kirkman_cayley(n: int, s: int) -> int:
 
 def fvector_typeA(n: int) -> list[int]:
     """f-vector [codim 0 .. codim n-2 faces] of the (n-2)-dimensional
-    associahedron, read off f_typeA."""
+    associahedron, read off f_typeA: its z^k t^(n+k-1) terms, k < n, all
+    of grade n - 1 and at t-degree 2n - 2 at most."""
     if n < 2:
         raise ValueError("need n >= 2")
-    s = f_typeA(2 * n - 2)
+    s = _window(lambda w, start, bound: f_typeA(w, bound), 2 * n - 2, n, n - 1)
     den = s.den * math.factorial(n)
     return [_exact(s.slices[n + k - 1].get((0, k, 0), 0), den,
                    f"non-integer face count at z^{k}")
@@ -265,26 +300,32 @@ def tilde_big_gamma(trunc: int) -> TruncatedSeries:
     return _substituted(tilde_gamma, trunc, 2, True)
 
 
-def f_cy(variant: str, trunc: int) -> TruncatedSeries:
-    """Face series of the compact real B/D models: t^n w^s coefficient times
-    n! counts faces of codimension s across all chambers.
+def _bd_series(variant: str, trunc: int, at, start: int) -> TruncatedSeries:
+    """at applied to the B/D face series of f_cy, at being a ring
+    homomorphism that keeps t-degrees: each piece is mapped before it is
+    inverted or multiplied, and slices below start of the D series are
+    left empty.
 
     B: 1/(1 - w Gamma~).
     D: ((1-t) w Gamma~ - 2tw - 2t^2 w - 2t^2 w^2) / (1 - w Gamma~).
     """
-    tg = tilde_big_gamma(trunc)
-    wtg = mul(T.monomial(trunc, 1, ew=1), tg)
+    if variant not in ("B", "D"):
+        raise ValueError(f"variant must be 'B' or 'D', got {variant!r}")
+    wtg = at(mul(T.from_slices(trunc, [{(0, 0, 1): 1}]), tilde_big_gamma(trunc)))
     inv = invert_one_minus(wtg)
     if variant == "B":
         return inv
-    if variant == "D":
-        one_minus_t = add(T.one(trunc), T.monomial(trunc, -1, et=1))
-        num = mul(one_minus_t, wtg)
-        num = add(num, T(trunc, {(0, 1, 0, 1): Fraction(-2),
-                                 (0, 2, 0, 1): Fraction(-2),
-                                 (0, 2, 0, 2): Fraction(-2)}))
-        return mul(num, inv)
-    raise ValueError(f"variant must be 'B' or 'D', got {variant!r}")
+    # numerators over k!: 1 - t, and -2tw, -2t^2 w - 2t^2 w^2
+    one_minus_t = at(T.from_slices(trunc, [{(0, 0, 0): 1}, {(0, 0, 0): -1}]))
+    rest = at(T.from_slices(trunc, [{}, {(0, 0, 1): -2}, {(0, 0, 1): -4, (0, 0, 2): -4}]))
+    return mul(add(mul(one_minus_t, wtg), rest), inv, start=start)
+
+
+def f_cy(variant: str, trunc: int, *, start: int = 0) -> TruncatedSeries:
+    """Face series of the compact real B/D models: t^n w^s coefficient times
+    n! counts faces of codimension s across all chambers.  The formula is
+    _bd_series's; slices below start of the D series are left empty."""
+    return _bd_series(variant, trunc, lambda s: s, start)
 
 
 def _check_bd_n(variant: str, n: int) -> None:
@@ -303,7 +344,7 @@ def fvector_from_fcy(variant: str, n: int) -> list[int]:
     values [1, 5, 5] there (see D3_DEGENERATE_NOTE).
     """
     _check_bd_n(variant, n)
-    s_cy = f_cy(variant, n)
+    s_cy = _window(lambda w, start, bound: f_cy(variant, w, start=start), n, n, n)
     # coefficient / 2^n (B) or / 2^(n-1) (D); the numerator is over den * n!
     den = s_cy.den * (2 ** n if variant == "B" else 2 ** (n - 1)) * math.factorial(n)
     return [_exact(s_cy.slices[n].get((0, 0, s), 0), den,
@@ -315,15 +356,22 @@ D3_DEGENERATE_NOTE = ("D with n = 3 is reducible; the reported values are "
                       "those of the type A model on 4 points")
 
 
-def euler_series_bd(variant: str, trunc: int) -> TruncatedSeries:
+def euler_series_bd(variant: str, trunc: int, *, start: int = 0) -> TruncatedSeries:
     """Euler characteristics of the real B/D models: t -> -t, w -> -1/2 in
-    f_cy; n! times the t^n coefficient is the Euler characteristic."""
-    return eval_w(negate_t(f_cy(variant, trunc)), Fraction(-1, 2))
+    f_cy; n! times the t^n coefficient is the Euler characteristic.
+
+    The substitution is a ring homomorphism, so it is made on the pieces
+    of f_cy's formula before inverting: 1/(1 - s) is then taken of a
+    series in t alone.  Slices below start of the D series are left empty.
+    """
+    return _bd_series(variant, trunc, lambda s: eval_w(negate_t(s), Fraction(-1, 2)),
+                      start)
 
 
 def euler_from_bd(variant: str, n: int) -> int:
     """Euler characteristic of the compact real B/D model on n points."""
     _check_bd_n(variant, n)
-    val = coeff(euler_series_bd(variant, n), et=n) * math.factorial(n)
+    s = _window(lambda w, start, bound: euler_series_bd(variant, w, start=start), n, n, n)
+    val = coeff(s, et=n) * math.factorial(n)
     return _exact(val.numerator, val.denominator,
                   f"non-integer Euler characteristic at n={n}")

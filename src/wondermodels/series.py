@@ -58,6 +58,12 @@ partner slice in index order is in z order and those partners are a
 tail of it, found by bisection.  Without a bound, or with one of at
 least trunc, the tail is the whole slice.
 
+A product may also take a start, the lowest slice its reader reads.
+C_n needs only the operands' slices up to n, so the loop over output
+slices begins at the start and the slices below it stay empty; the
+others are those of the plain product.  A recurrence needs every slice
+below the one it forms, so it takes no start.
+
 All arithmetic is exact; nothing here ever touches a float.
 """
 
@@ -345,7 +351,7 @@ def _convolve(X, Y, n: int, weight, top: int, lo: int, QW: int):
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries, *,
-        bound: int | None = None) -> TruncatedSeries:
+        bound: int | None = None, start: int = 0) -> TruncatedSeries:
     """Product, truncated in t: C_n = sum_k binom(n, k) A_k B_(n-k).
 
     Both operands are split into single terms and runs, and the run side
@@ -353,7 +359,8 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, *,
     a tie the one with fewer terms; binom(n, k) is symmetric, so the
     sides may swap.  With a bound below trunc, the product's terms of
     grade above it are never formed: the product is the plain one
-    without them.
+    without them.  With a start, no slice C_n with n < start is formed:
+    those slices are empty, and every other one is the plain product's.
     """
     trunc = _same_trunc(a, b)
     bound = trunc if bound is None else min(bound, trunc)
@@ -368,11 +375,12 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, *,
     ua, ub = (sum(len(p) + 2 * len(r) for _, _, p, r in R) for R in (RA, RB))
     na, nb = sum(map(len, A)), sum(map(len, B))
     X, Y = (RA, B) if (ua * nb, na) <= (ub * na, nb) else (RB, A)
-    slices = []
+    slices = [{} for _ in range(min(start, trunc + 1))]
     # C_n has no index above the top indices of A_0..A_n and B_0..B_n added
-    for n, top in enumerate(map(operator.add, ta, tb)):
+    for n in range(len(slices), trunc + 1):
         slices.append({(i % Q, i // QW, i % QW // Q): v for i, v in
-                       enumerate(_convolve(X, Y, n, math.comb, top, n - bound, QW)) if v})
+                       enumerate(_convolve(X, Y, n, math.comb, ta[n] + tb[n], n - bound, QW))
+                       if v})
     return TruncatedSeries.from_slices(trunc, slices, a.den * b.den)
 
 

@@ -92,8 +92,8 @@ SERIES_GUARD_QUERIES = [
 # the largest n of each family that a frozen byte gate asks for, and the
 # largest r of a frozen poincare query
 FROZEN_SERIES_N = {("poincare", "r=1"): 70, ("poincare", "r>=2"): 40,
-                   ("fvector", "A"): 40, ("fvector", "B, D"): 60,
-                   ("euler", "A"): 60, ("euler", "B, D"): 40}
+                   ("fvector", "A"): 100, ("fvector", "B, D"): 60,
+                   ("euler", "A"): 60, ("euler", "B, D"): 60}
 FROZEN_POINCARE_R = 5
 
 

@@ -33,7 +33,11 @@ from wondermodels.series import (
     TruncatedSeries,
     add,
     coeff,
+    eval_w,
     integrate_t,
+    invert_one_minus,
+    mul,
+    negate_t,
     subst_z_derivative,
     truncated,
 )
@@ -311,6 +315,74 @@ def test_euler_series_is_w_free():
 
 
 # ---------------------------------------------------------------------------
+# the series as first written, oracles for the windowed and w-first forms
+
+
+def oracle_f_cy(variant, trunc):
+    """f_cy built whole in (t, w) from Fraction terms."""
+    T = TruncatedSeries
+    wtg = mul(T.monomial(trunc, 1, ew=1), tilde_big_gamma(trunc))
+    inv = invert_one_minus(wtg)
+    if variant == "B":
+        return inv
+    num = add(mul(add(T.one(trunc), T.monomial(trunc, -1, et=1)), wtg),
+              T(trunc, {(0, 1, 0, 1): Fraction(-2), (0, 2, 0, 1): Fraction(-2),
+                        (0, 2, 0, 2): Fraction(-2)}))
+    return mul(num, inv)
+
+
+def oracle_euler_series_bd(variant, trunc):
+    """The B/D Euler series as f_cy whole, then t -> -t and w -> -1/2."""
+    return eval_w(negate_t(f_cy(variant, trunc)), Fraction(-1, 2))
+
+
+def oracle_phi_rr2(trunc):
+    """phi_rr at r = 2 as (1 - q t^2/2) times the whole full monomial series."""
+    twist = add(TruncatedSeries.one(trunc),
+                TruncatedSeries.monomial(trunc, Fraction(-1, 2), eq=1, et=2))
+    return mul(twist, phi_full_monomial(2, trunc))
+
+
+BD_CASES = [("B", n) for n in range(1, 13)] + [("D", n) for n in range(3, 13)]
+
+
+@pytest.mark.parametrize("variant, n", BD_CASES)
+def test_euler_series_with_w_first_is_the_old_composition(variant, n):
+    # equal series are equal on every slice, the canonical form being unique
+    assert euler_series_bd(variant, n) == oracle_euler_series_bd(variant, n)
+    assert f_cy(variant, n) == oracle_f_cy(variant, n)
+
+
+def test_phi_rr_twists_before_the_last_product():
+    for trunc in range(13):
+        assert phi_rr(2, trunc) == oracle_phi_rr2(trunc), trunc
+
+
+def _from_start(s, start):
+    return TruncatedSeries.from_slices(
+        s.trunc, [{} if et < start else sl for et, sl in enumerate(s.slices)], s.den)
+
+
+# (name, builder, whether the start windows it): type B ends in 1/(1 - s),
+# which needs every slice, so its series is whole whatever the start
+WINDOWED = ([(f"phiFull r={r}", lambda trunc, start=0, r=r: phi_full_monomial(r, trunc, start=start),
+              True) for r in (2, 3)]
+            + [(f"phiRR r={r}", lambda trunc, start=0, r=r: phi_rr(r, trunc, start=start), True)
+               for r in (2, 3)]
+            + [(f"{f.__name__} {v}", lambda trunc, start=0, f=f, v=v: f(v, trunc, start=start),
+                v == "D") for f in (f_cy, euler_series_bd) for v in "BD"])
+
+
+@pytest.mark.parametrize("trunc", range(9))
+def test_windowed_builders_are_the_plain_ones_from_their_start_on(trunc):
+    for name, build, windows in WINDOWED:
+        whole = build(trunc)
+        for start in range(trunc + 2):
+            want = _from_start(whole, start) if windows else whole
+            assert build(trunc, start=start) == want, (name, start)
+
+
+# ---------------------------------------------------------------------------
 # the one z -> d/dt step and its source truncation
 
 
@@ -351,7 +423,8 @@ def test_poincare_from_psi_sums_every_z_slice():
         assert poincare_from_psi(n).coeffs == {eq: c for eq, c in want.items() if c}, n
 
 
-SOURCES = ([("psi", psi_series), ("X source", _x_source), ("tildeGamma source", tilde_gamma)]
+SOURCES = ([("psi", psi_series), ("X source", _x_source), ("tildeGamma source", tilde_gamma),
+            ("F", f_typeA)]
            + [(f"K r={r}", lambda trunc, bound=None, r=r: k_series(r, trunc, bound=bound))
               for r in range(1, 5)]
            + [(f"gamma r={r}{' literal' * lit}",

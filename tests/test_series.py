@@ -521,6 +521,35 @@ def test_bounded_kernel_is_the_plain_one_without_the_grades_above(abk):
                 == above_grade_dropped(invert_one_minus(s), bound))
 
 
+def below_start_dropped(s, start):
+    """s with its slices below t^start emptied."""
+    return T.from_slices(s.trunc, [{} if et < start else sl
+                                   for et, sl in enumerate(s.slices)], s.den)
+
+
+@given(bounded_operands(), st.integers(0, 7))
+@settings(max_examples=150, deadline=None)
+def test_a_windowed_product_is_the_plain_one_from_its_start_on(abk, start):
+    # with and without a grade bound: every slice from start on is the
+    # plain product's, and every slice below it is empty
+    a, b, bound = abk
+    for grades in (None, bound):
+        for x, y in ((a, b), (b, a), (a, a)):
+            windowed = mul(x, y, bound=grades, start=start)
+            assert not any(windowed.slices[:start])
+            assert windowed == below_start_dropped(mul(x, y, bound=grades), start)
+
+
+@given(series_tuple(2), st.integers(0, 7))
+@settings(max_examples=100, deadline=None)
+def test_a_window_needs_no_grade_rule(ab, start):
+    # without a bound no term needs z <= t, and the start alone windows
+    a, b = ab
+    windowed = mul(a, b, start=start)
+    assert not any(windowed.slices[:start])
+    assert windowed == below_start_dropped(mul(a, b), start)
+
+
 @given(series_tuple(2), st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
 def test_a_bound_of_trunc_or_more_changes_nothing(ab, extra):

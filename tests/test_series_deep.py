@@ -27,12 +27,16 @@ QUERIES = (
     "poincare --r 3 --n 30 --method series",
     "poincare --r 2 --p 2 --n 30 --method series",
     "poincare --r 2 --p 2 --n 40 --method series",
+    "poincare --r 2 --n 40 --method series",
     "poincare --r 4 --p 4 --n 24 --method series",
     "fvector --type A --n 40 --method series",
+    "fvector --type A --n 100 --method series",
+    "fvector --type B --n 40 --method series",
     "fvector --type D --n 40 --method series",
     "fvector --type D --n 60 --method series",
     "euler --type A --n 60",
     "euler --type B --n 40",
+    "euler --type D --n 60",
 )
 
 

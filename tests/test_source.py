@@ -100,15 +100,47 @@ def test_one_d_value_rule():
     assert found == []
 
 
+def _scopes(tree):
+    """(name, node, parameters) for each top-level function and method of
+    a module, and for each other top-level statement, named <module>."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    yield m.name, m, {a.arg for a in ast.walk(m.args) if isinstance(a, ast.arg)}
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node, {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        else:
+            yield "<module>", node, set()
+
+
+WINDOW = ("bound", "start")
+
+
 def test_a_grade_bound_is_only_forwarded():
-    # builders and kernel calls pass on the bound they were given, so the
-    # one place that sets a grade bound is _substituted's call of its source:
-    # dumps and readouts get every grade
-    found = []
+    # builders and kernel calls pass on the grade bound and the slice
+    # start they were given, so the one call that sets a window is
+    # formulas._window's call of its builder: each readout states its
+    # window there, and dumps get every slice and grade
+    setters, laundered = [], []
     for path, tree in _trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                found += [f"{path.name}:{node.lineno}" for kw in node.keywords
-                          if kw.arg == "bound" and not (isinstance(kw.value, ast.Name)
-                                                        and kw.value.id == "bound")]
-    assert found == []
+        for name, scope, own in _scopes(tree):
+            # a forwarded name is a parameter of the function or of a lambda
+            # in it, and only the function's own ones may be normalised
+            params = {a.arg for a in ast.walk(scope) if isinstance(a, ast.arg)}
+            stored = {node.id for node in ast.walk(scope)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            for node in ast.walk(scope):
+                # enumerate's start is a counter, not a window
+                if not isinstance(node, ast.Call) or (isinstance(node.func, ast.Name)
+                                                      and node.func.id == "enumerate"):
+                    continue
+                window = [kw for kw in node.keywords if kw.arg in WINDOW]
+                if any(not (isinstance(kw.value, ast.Name) and kw.value.id == kw.arg)
+                       for kw in window):
+                    setters.append((path.name, name, node.lineno))
+                    continue
+                laundered += [f"{path.name}:{node.lineno} {kw.arg}" for kw in window
+                              if kw.arg not in params or kw.arg in stored - own]
+    assert [where[:2] for where in setters] == [("formulas.py", "_window")]
+    assert laundered == []
