@@ -75,17 +75,18 @@ def _blocks(r: int, trunc: int, literal_reading: bool = False) -> TruncatedSerie
     """sum_{i>=3} (z/r) q [i-2]_q (rt)^i / i!, the exponent of the block product.
 
     Its t^i numerator is r^(i-1).  literal_reading swaps (rt)^i/i! for
-    (tr/i!)^i, which is not integral in this scaling.
+    (tr/i!)^i, which is not integral in this scaling: its t^i numerator
+    r^(i-1) / (i!)^(i-1) goes over one den shared by every slice.
     """
     if r < 1:
         raise ValueError(f"the block series needs r >= 1, got r = {r}")
-    if literal_reading:
-        return T(trunc, {(e + 1, i, 1, 0): Fraction(r ** (i - 1), math.factorial(i) ** i)
-                         for i in range(3, trunc + 1) for e in q_analog(i - 2)})
+    over = {i: math.factorial(i) ** (i - 1) if literal_reading else 1
+            for i in range(3, trunc + 1)}
+    den = math.lcm(*over.values())
     slices = [{} for _ in range(trunc + 1)]
-    for i in range(3, trunc + 1):
-        slices[i] = {(e + 1, 1, 0): r ** (i - 1) for e in q_analog(i - 2)}
-    return T.from_slices(trunc, slices)
+    for i, o in over.items():
+        slices[i] = {(e + 1, 1, 0): r ** (i - 1) * (den // o) for e in q_analog(i - 2)}
+    return T.from_slices(trunc, slices, den)
 
 
 def psi_series(trunc: int, bound: int | None = None) -> TruncatedSeries:
@@ -101,7 +102,7 @@ def psi_series(trunc: int, bound: int | None = None) -> TruncatedSeries:
 
 def k_series(r: int, trunc: int, bound: int | None = None) -> TruncatedSeries:
     """e^t * prod_{i>=3} exp((z/r) q [i-2]_q (rt)^i / i!), as one exp."""
-    arg = add(T.monomial(trunc, 1, et=1), _blocks(r, trunc))
+    arg = T.from_slices(trunc, [{}, {(0, 0, 0): 1}] + _blocks(r, trunc).slices[2:])
     return assert_degree_bounds(exp(arg, bound=bound))
 
 
@@ -287,12 +288,20 @@ def euler_from_x(n: int) -> int:
 
 
 def tilde_gamma(trunc: int, bound: int | None = None) -> TruncatedSeries:
-    """2/(1-2t)^2 * prod_{j>=2} exp(w z (2t)^j / 2), the type B block series."""
-    inv = invert_one_minus(T.monomial(trunc, 2, et=1), bound=bound)
-    pre = scale(mul(inv, inv, bound=bound), 2)
-    arg = T.from_slices(trunc, [{}, {}] + [{(0, 1, 1): 2 ** (j - 1) * math.factorial(j)}
-                                           for j in range(2, trunc + 1)])
-    return assert_degree_bounds(mul(pre, exp(arg, bound=bound), bound=bound))
+    """2/(1-2t)^2 * prod_{j>=2} exp(w z (2t)^j / 2), the type B block series.
+
+    2/(1-2t)^2 is 2 exp(sum_{j>=1} 2 (2t)^j / j), so the series is one
+    exp, 2 exp(arg): the t^j numerator of arg is 2^(j+1) (j-1)! plus,
+    from j = 2 on, 2^(j-1) j! w z.  Every term has w = z, so arg and its
+    exp are built in z alone and w is set to z on the result.
+    """
+    arg = T.from_slices(trunc, [{}, {(0, 0, 0): 4}] + [
+        {(0, 0, 0): 2 ** (j + 1) * math.factorial(j - 1),
+         (0, 1, 0): 2 ** (j - 1) * math.factorial(j)} for j in range(2, trunc + 1)])
+    s = exp(arg, bound=bound)
+    return assert_degree_bounds(T.from_slices(
+        trunc, [{(eq, ez, ez): 2 * v for (eq, ez, _), v in sl.items()} for sl in s.slices],
+        s.den))
 
 
 def tilde_big_gamma(trunc: int) -> TruncatedSeries:
@@ -323,8 +332,8 @@ def _bd_series(variant: str, trunc: int, at, start: int) -> TruncatedSeries:
 
 def f_cy(variant: str, trunc: int, *, start: int = 0) -> TruncatedSeries:
     """Face series of the compact real B/D models: t^n w^s coefficient times
-    n! counts faces of codimension s across all chambers.  The formula is
-    _bd_series's; slices below start of the D series are left empty."""
+    n! counts faces of codimension s - 1 across all chambers.  The formula
+    is _bd_series's; slices below start of the D series are left empty."""
     return _bd_series(variant, trunc, lambda s: s, start)
 
 
@@ -337,9 +346,10 @@ def _check_bd_n(variant: str, n: int) -> None:
 
 
 def fvector_from_fcy(variant: str, n: int) -> list[int]:
-    """f-vector [codim 1 .. codim n faces] of one nestohedron chamber.
+    """f-vector [codim 0 .. codim n-1 faces] of one nestohedron chamber,
+    read off the w^1 .. w^n terms of f_cy at t^n.
 
-    Chamber counts divide out: 2^n for B, 2^(n-1) for D.  D with n = 3 is
+    Chamber counts divide out: 2^n n! for B, 2^(n-1) n! for D.  D with n = 3 is
     the degenerate reducible case; the series still returns the type A
     values [1, 5, 5] there (see D3_DEGENERATE_NOTE).
     """

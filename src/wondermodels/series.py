@@ -168,7 +168,7 @@ class TruncatedSeries:
         return mul(self, other)
 
     def __repr__(self):
-        return f"TruncatedSeries(trunc={self.trunc}, {len(self.terms)} terms)"
+        return f"TruncatedSeries(trunc={self.trunc}, {sum(map(len, self.slices))} terms)"
 
     def __str__(self):
         return format_series(self)
@@ -559,6 +559,8 @@ class QPolynomial:
         for e, c in (coeffs or {}).items():
             if e < 0:
                 raise ValueError("negative q-exponent")
+            if c != int(c):
+                raise ValueError(f"non-integer coefficient {c!r} at q^{e}")
             if c:
                 clean[e] = int(c)
         self.coeffs = clean

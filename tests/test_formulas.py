@@ -7,6 +7,7 @@ import pytest
 
 from wondermodels.formulas import (
     D3_DEGENERATE_NOTE,
+    _blocks,
     _x_source,
     big_gamma,
     cal_k,
@@ -34,10 +35,12 @@ from wondermodels.series import (
     add,
     coeff,
     eval_w,
+    exp,
     integrate_t,
     invert_one_minus,
     mul,
     negate_t,
+    scale,
     subst_z_derivative,
     truncated,
 )
@@ -222,6 +225,38 @@ def test_tilde_gamma_lowest_terms():
     assert coeff(tg, et=0) == 2
     assert coeff(tg, et=1) == 8
     assert coeff(tg, et=2, ez=1, ew=1) == 4
+
+
+def oracle_tilde_gamma(trunc, bound=None):
+    """tilde_gamma as three products: 2/(1-2t)^2 from two inverses of
+    1 - 2t, times exp(sum_{j>=2} w z (2t)^j / 2), every call bounded."""
+    inv = invert_one_minus(TruncatedSeries.monomial(trunc, 2, et=1), bound=bound)
+    pre = scale(mul(inv, inv, bound=bound), 2)
+    arg = TruncatedSeries.from_slices(
+        trunc, [{}, {}] + [{(0, 1, 1): 2 ** (j - 1) * math.factorial(j)}
+                           for j in range(2, trunc + 1)])
+    return mul(pre, exp(arg, bound=bound), bound=bound)
+
+
+def test_tilde_gamma_is_one_exp_of_the_three_product_form():
+    # 2/(1-2t)^2 = 2 exp(sum 2 (2t)^j / j) folds the prefactor into the
+    # exp; every term of the result has w = z
+    for trunc in range(17):
+        for bound in (None, *range(trunc + 1)):
+            tg = tilde_gamma(trunc, bound)
+            assert tg == oracle_tilde_gamma(trunc, bound), (trunc, bound)
+            assert all(ew == ez for sl in tg.slices for _, ez, ew in sl), (trunc, bound)
+
+
+def test_literal_blocks_equal_their_fraction_terms():
+    # the literal reading's (tr/i!)^i over one shared den, against the
+    # Fraction coefficients r^(i-1) / (i!)^i of q^(e+1) t^i z
+    for r in range(1, 5):
+        for trunc in range(9):
+            want = TruncatedSeries(trunc, {
+                (e + 1, i, 1, 0): Fraction(r ** (i - 1), math.factorial(i) ** i)
+                for i in range(3, trunc + 1) for e in range(i - 2)})
+            assert _blocks(r, trunc, literal_reading=True) == want, (r, trunc)
 
 
 def test_tilde_big_gamma_lowest_terms():

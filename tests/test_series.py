@@ -190,6 +190,18 @@ def test_qpolynomial_arithmetic():
     assert QPolynomial({0: 1}) == 1
 
 
+def test_qpolynomial_refuses_non_integer_coefficients():
+    # int() would truncate 1/2 to a stored zero and 2.7 to 2
+    for bad in ({0: Fraction(1, 2), 2: 2.7}, {1: Fraction(-3, 4)}, {0: 2.7}):
+        with pytest.raises(ValueError):
+            QPolynomial(bad)
+    p = QPolynomial({0: Fraction(4, 2), 1: 3.0, 2: 0, 3: Fraction(0), 5: 10 ** 30})
+    assert p.coeffs == {0: 2, 1: 3, 5: 10 ** 30}
+    assert all(type(c) is int for c in p.coeffs.values())
+    zero = QPolynomial({0: 0, 2: Fraction(0, 5)})
+    assert zero == QPolynomial() and zero.coeffs == {} and str(zero) == "0"
+
+
 # small random series over a fixed exponent box, coefficients in a tame range
 @st.composite
 def small_series(draw, trunc=4, allow_zw=True):

@@ -34,8 +34,10 @@ QUERIES = (
     "fvector --type B --n 40 --method series",
     "fvector --type D --n 40 --method series",
     "fvector --type D --n 60 --method series",
+    "fvector --type D --n 80 --method series",
     "euler --type A --n 60",
     "euler --type B --n 40",
+    "euler --type B --n 150",
     "euler --type D --n 60",
 )
 

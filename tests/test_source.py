@@ -83,6 +83,37 @@ def test_one_substitution_step_in_the_formula_layer():
     assert calls["integrate_t"] == 1
 
 
+def test_series_are_built_from_integer_slices_outside_the_kernel():
+    # the Fraction-dict constructor, monomial and the Fraction view of the
+    # terms belong to series.py and the tests: every other module builds a
+    # series from integer slices and reads its slices
+    found = []
+    for path, tree in _trees():
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("TruncatedSeries", "T"):
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+            elif isinstance(node, ast.Attribute) and node.attr in ("monomial", "terms"):
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert found == []
+
+
+def test_tilde_gamma_is_one_kernel_call():
+    # 2/(1-2t)^2 folds into the exp's argument, so the type B block series
+    # is one exp and no product, inverse or rescaling
+    tree = ast.parse((SRC / "formulas.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "tilde_gamma")
+    kernel = {"mul", "exp", "invert_one_minus", "scale", "add"}
+    calls = [node.func.id for node in ast.walk(func) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in kernel]
+    assert calls == ["exp"]
+
+
 def test_one_d_value_rule():
     # the d-value is read off the universe's dimensions by lattice.d_value
     # alone, so the walk's veto and validation share one rule: no other
