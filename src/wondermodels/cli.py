@@ -65,9 +65,10 @@ DUMP_TRUNC_GUARD = 12
 # The largest n the series route answers, per verb and per family whose
 # cost differs (B and D share one cap, sized on the costlier), and the
 # largest r of poincare by series, whose coefficients grow with r; at its
-# caps each verb answers within about 10 s on a 2-core host (README,
-# "Guards and conventions").  Beyond a cap a verb refuses with exit 3
-# before any series is built.
+# caps each verb answers by series within about 10 s on a 2-core host
+# (README, "Guards and conventions").  Beyond a cap a verb refuses with
+# exit 3 before any series is built, and so does --method both when the
+# enumeration guard refuses, as it does far below these caps.
 SERIES_N_GUARD = {
     ("poincare", "r=1"): 150,
     ("poincare", "r>=2"): 80,
@@ -213,14 +214,18 @@ def run_poincare(args) -> int:
     if 1 < g.p < g.r:
         note = f"Y_{{G({g.r},{g.p},{g.n})}} = Y_{{G({g.r},1,{g.n})}}"
     values = {}
-    if args.method in ("series", "both"):
+    series = args.method in ("series", "both")
+    if series:
         _check_series_n("poincare", "r=1" if g.r == 1 else "r>=2", g.n)
         if g.r > SERIES_R_GUARD:
             raise GuardExceeded(f"poincare by series answers r <= {SERIES_R_GUARD}, "
                                 f"got r = {g.r}")
-        values["series"] = _poincare_series(g)
+        values["series"] = None  # first, as _compare reads it; built below
     if args.method in ("bruteforce", "both"):
+        # its guard refuses before any work, so before the series is built
         values["bruteforce"] = poincare_bruteforce(g)
+    if series:
+        values["series"] = _poincare_series(g)
     poly, verdict = _compare(values)
     text = [f"{g} [{args.method}]: {poly}"]
     if verdict:
@@ -253,11 +258,15 @@ def run_fvector(args) -> int:
     family, n = args.family, args.n
     note = D3_DEGENERATE_NOTE if family == "D" and n == 3 else None
     values = {}
-    if args.method in ("series", "both"):
+    series = args.method in ("series", "both")
+    if series:
         _check_series_n("fvector", "A" if family == "A" else "B, D", n)
-        values["series"] = _fvector_series(family, n)
+        values["series"] = None  # first, as _compare reads it; built below
     if args.method in ("tubings", "both"):
+        # its guard refuses before any work, so before the series is built
         values["tubings"] = fvector_tubings(dynkin_graph(family, n))
+    if series:
+        values["series"] = _fvector_series(family, n)
     fvec, verdict = _compare(values)
     if "series" in values and verdict != "mismatch":
         # a mismatch is already exit 2, and prints both answers

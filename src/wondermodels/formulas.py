@@ -30,10 +30,10 @@ above d.
 
 That grade bound is one half of a window: the t-slices n..top and the
 grades up to d that a reader of a series reads.  Each readout states its
-window once, and _substituted states its source's (slices 0..w, grades up
-to d); _window is the one place that hands a window to a builder, and
-every builder and kernel call below it only passes it on.  The other half,
-the slice start n, goes to the last product of a series read at t^n alone:
+window in its one builder call (_substituted its source's: slices 0..w,
+grades up to d), and every builder and kernel call below only passes it
+on.  The other half, the slice start n, goes to the last product of a
+series read at t^n alone:
 1/(1-Gamma) * calK in phi (the r = 2 twist multiplies 1/(1-Gamma) first)
 and num * 1/(1 - w tildeGamma) in f_cy D.  A product's slice n depends only
 on the operands' slices up to n, so it is formed alone; a recurrence needs
@@ -122,21 +122,12 @@ def gamma_series(r: int, trunc: int, literal_reading: bool = False,
     return assert_degree_bounds(mul(pre, blocks, bound=bound))
 
 
-def _window(build, top: int, n: int, d: int) -> TruncatedSeries:
-    """build(top, start=n, bound=d): the series through t^top as a reader
-    of its slices n..top at grades up to d needs it.  The one place that
-    sets a window (module docstring); build passes each half on to the
-    kernel calls that can use it, or leaves it out."""
-    return build(top, start=n, bound=d)
-
-
 def _substituted(build, trunc: int, ratio: int, integrate: bool) -> TruncatedSeries:
-    """build(w, d) with z replaced by d/dt, integrated in t if asked, to
-    t^trunc; w and the grade bound d follow the module docstring, for a
-    source whose z^s terms ride with at least ratio * s powers of t."""
+    """build(w, bound=d) with z replaced by d/dt, integrated in t if asked,
+    to t^trunc; w and the grade bound d follow the module docstring, for
+    a source whose z^s terms ride with at least ratio * s powers of t."""
     d = trunc - 1 if integrate else trunc
-    out = subst_z_derivative(_window(lambda w, start, bound: build(w, bound),
-                                     max(trunc, d + d // (ratio - 1)), 0, d))
+    out = subst_z_derivative(build(max(trunc, d + d // (ratio - 1)), bound=d))
     if integrate:
         out = integrate_t(out)
     return truncated(out, trunc)
@@ -205,7 +196,7 @@ def poincare_from_psi(n: int) -> QPolynomial:
 def phi_slice(phi, r: int, n: int) -> TruncatedSeries:
     """phi(r, n), phi being phi_full_monomial or phi_rr, as poincare_from_phi
     reads it at t^n: its last product forms slice n alone."""
-    return _window(lambda w, start, bound: phi(r, w, start=start), n, n, n)
+    return phi(r, n, start=n)
 
 
 def poincare_from_phi(phi: TruncatedSeries, n: int) -> QPolynomial:
@@ -253,7 +244,7 @@ def fvector_typeA(n: int) -> list[int]:
     of grade n - 1 and at t-degree 2n - 2 at most."""
     if n < 2:
         raise ValueError("need n >= 2")
-    s = _window(lambda w, start, bound: f_typeA(w, bound), 2 * n - 2, n, n - 1)
+    s = f_typeA(2 * n - 2, bound=n - 1)
     den = s.den * math.factorial(n)
     return [_exact(s.slices[n + k - 1].get((0, k, 0), 0), den,
                    f"non-integer face count at z^{k}")
@@ -354,7 +345,7 @@ def fvector_from_fcy(variant: str, n: int) -> list[int]:
     values [1, 5, 5] there (see D3_DEGENERATE_NOTE).
     """
     _check_bd_n(variant, n)
-    s_cy = _window(lambda w, start, bound: f_cy(variant, w, start=start), n, n, n)
+    s_cy = f_cy(variant, n, start=n)
     # coefficient / 2^n (B) or / 2^(n-1) (D); the numerator is over den * n!
     den = s_cy.den * (2 ** n if variant == "B" else 2 ** (n - 1)) * math.factorial(n)
     return [_exact(s_cy.slices[n].get((0, 0, s), 0), den,
@@ -381,7 +372,7 @@ def euler_series_bd(variant: str, trunc: int, *, start: int = 0) -> TruncatedSer
 def euler_from_bd(variant: str, n: int) -> int:
     """Euler characteristic of the compact real B/D model on n points."""
     _check_bd_n(variant, n)
-    s = _window(lambda w, start, bound: euler_series_bd(variant, w, start=start), n, n, n)
+    s = euler_series_bd(variant, n, start=n)
     val = coeff(s, et=n) * math.factorial(n)
     return _exact(val.numerator, val.denominator,
                   f"non-integer Euler characteristic at n={n}")

@@ -142,6 +142,29 @@ def test_poincare_by_series_answers_at_the_r_cap(capsys):
     assert code == 0 and out
 
 
+# within the series caps but beyond the enumeration guards
+ENUMERATION_GUARD_QUERIES = [
+    ["poincare", "--n", "150"],
+    ["poincare", "--r", "2", "--p", "1", "--n", "80"],
+    ["fvector", "--type", "B", "--n", "100"],
+    ["fvector", "--type", "D", "--n", "100"],
+]
+
+
+@pytest.mark.parametrize("argv", ENUMERATION_GUARD_QUERIES, ids=" ".join)
+def test_both_methods_refuse_at_the_enumeration_guard_before_any_series(
+        capsys, argv, monkeypatch):
+    # --method both, the default, decides the enumeration guard first
+    def no_series_answer(*args, **kwargs):
+        pytest.fail("a series answer was built before the enumeration guard")
+    for name in ("poincare_from_psi", "phi_slice", "fvector_from_fcy", "fvector_typeA"):
+        monkeypatch.setattr(cli, name, no_series_answer)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "guard violation" in captured.err and "by series" not in captured.err
+
+
 def test_series_guard_refuses_in_a_fresh_process():
     # each query would run for hours by series; the refusal exits at once.
     # The in-process tests above show that no series is built, so the time

@@ -150,9 +150,9 @@ WINDOW = ("bound", "start")
 
 def test_a_grade_bound_is_only_forwarded():
     # builders and kernel calls pass on the grade bound and the slice
-    # start they were given, so the one call that sets a window is
-    # formulas._window's call of its builder: each readout states its
-    # window there, and dumps get every slice and grade
+    # start they were given, so the only calls that set a window are the
+    # readouts' calls of their builders, one each: each readout states
+    # its window there, and dumps get every slice and grade
     setters, laundered = [], []
     for path, tree in _trees():
         for name, scope, own in _scopes(tree):
@@ -173,5 +173,7 @@ def test_a_grade_bound_is_only_forwarded():
                     continue
                 laundered += [f"{path.name}:{node.lineno} {kw.arg}" for kw in window
                               if kw.arg not in params or kw.arg in stored - own]
-    assert [where[:2] for where in setters] == [("formulas.py", "_window")]
+    assert [where[:2] for where in setters] == [
+        ("formulas.py", readout) for readout in
+        ("_substituted", "phi_slice", "fvector_typeA", "fvector_from_fcy", "euler_from_bd")]
     assert laundered == []
