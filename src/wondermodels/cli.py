@@ -8,9 +8,11 @@ Verbs:
   selftest     run every acceptance check, one line each
 
 Exit codes: 0 success/match, 1 stdout closed before the output was written
-(say by `| head`), 2 mismatch between methods, 3 guard violation, 4 bad
-arguments.  All output is deterministic: terms, rows and keys are
-sorted, so identical invocations produce identical bytes.
+(say by `| head`), 2 a mismatch between the two routes, or a series answer
+that breaks its verb's invariant when the routes agreed or the series ran
+alone, 3 guard violation, 4 bad arguments.  All output is deterministic:
+terms, rows and keys are sorted, so identical invocations produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .formulas import (
     fvector_typeA,
     gamma_series,
     k_series,
+    kirkman_cayley,
     phi_full_monomial,
     phi_rr,
     phi_slice,
@@ -151,15 +154,6 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, separators=(",", ":"), sort_keys=True))
 
 
-def _compare(values: dict) -> tuple:
-    """The answer of a run by one or two routes, and the verdict (None
-    unless two routes ran)."""
-    first, *second = values.values()
-    if not second:
-        return first, None
-    return first, "match" if first == second[0] else "mismatch"
-
-
 def _emit(fmt: str, doc: dict, text: list[str], csv: list[tuple]) -> int:
     """Print one answer in the format fmt and return the exit code.
 
@@ -186,15 +180,50 @@ def _check_series_n(verb: str, family: str, n: int) -> None:
         raise GuardExceeded(f"{verb} by series answers n <= {cap} for {family}, got n = {n}")
 
 
+def _run_routes(method: str, cap, other, series, invariant) -> tuple:
+    """Run a verb's routes and return (answer, other route's answer, verdict).
+
+    The series route runs when method is "series" or "both", the other
+    route (enumeration or cell count) when it is not "series".  In that
+    order: cap() refuses with GuardExceeded before any work, other() runs
+    and its own guard refuses before any work, then series() builds the
+    series answer.  The answer is the series one when it ran, else the
+    other's; the verdict compares the two when both ran, else it is None.
+    invariant(series answer) raises ArithmeticError (exit 2) unless the
+    verdict is "mismatch", which is already exit 2.
+    """
+    by_series = method in ("series", "both")
+    if by_series:
+        cap()
+    theirs = None if method == "series" else other()
+    if not by_series:
+        return theirs, theirs, None
+    ours = series()
+    verdict = None if method == "series" else "match" if ours == theirs else "mismatch"
+    if verdict != "mismatch":
+        invariant(ours)
+    return ours, theirs, verdict
+
+
+def _poincare_cap(g: GroupId) -> None:
+    _check_series_n("poincare", "r=1" if g.r == 1 else "r>=2", g.n)
+    if g.r > SERIES_R_GUARD:
+        raise GuardExceeded(f"poincare by series answers r <= {SERIES_R_GUARD}, "
+                            f"got r = {g.r}")
+
+
 def _poincare_series(g: GroupId) -> QPolynomial:
-    """The series answer, checked against Poincare duality: palindromic
-    of degree the complex dimension of the model; and against hard
-    Lefschetz (the model is smooth projective): unimodal."""
     if g.variant is Variant.TYPE_A:
-        poly, dim = poincare_from_psi(g.n), g.n - 2
-    else:
-        phi = phi_rr if g.variant is Variant.RR else phi_full_monomial
-        poly, dim = poincare_from_phi(phi_slice(phi, g.r, g.n), g.n), g.n - 1
+        return poincare_from_psi(g.n)
+    phi = phi_rr if g.variant is Variant.RR else phi_full_monomial
+    return poincare_from_phi(phi_slice(phi, g.r, g.n), g.n)
+
+
+def _check_poincare(g: GroupId, poly: QPolynomial) -> None:
+    """Poincare duality: poly is palindromic of degree the complex dimension
+    of the model; and hard Lefschetz (the model is smooth projective): it is
+    unimodal."""
+    dim = g.n - 2 if g.variant is Variant.TYPE_A else g.n - 1
     if (g.r, g.p, g.n) == (2, 2, 2):
         # the one reducible group (S_2 x S_2): its model is a point
         dim = 0
@@ -205,28 +234,16 @@ def _poincare_series(g: GroupId) -> QPolynomial:
     rising = [poly[e] for e in range(dim // 2 + 1)]
     if rising != sorted(rising):
         raise ArithmeticError(f"series Poincare polynomial {poly} of {g} is not unimodal")
-    return poly
 
 
 def run_poincare(args) -> int:
     g = GroupId(args.r, args.p, args.n)
+    poly, _, verdict = _run_routes(
+        args.method, lambda: _poincare_cap(g), lambda: poincare_bruteforce(g),
+        lambda: _poincare_series(g), lambda poly: _check_poincare(g, poly))
     note = None
     if 1 < g.p < g.r:
         note = f"Y_{{G({g.r},{g.p},{g.n})}} = Y_{{G({g.r},1,{g.n})}}"
-    values = {}
-    series = args.method in ("series", "both")
-    if series:
-        _check_series_n("poincare", "r=1" if g.r == 1 else "r>=2", g.n)
-        if g.r > SERIES_R_GUARD:
-            raise GuardExceeded(f"poincare by series answers r <= {SERIES_R_GUARD}, "
-                                f"got r = {g.r}")
-        values["series"] = None  # first, as _compare reads it; built below
-    if args.method in ("bruteforce", "both"):
-        # its guard refuses before any work, so before the series is built
-        values["bruteforce"] = poincare_bruteforce(g)
-    if series:
-        values["series"] = _poincare_series(g)
-    poly, verdict = _compare(values)
     text = [f"{g} [{args.method}]: {poly}"]
     if verdict:
         text.append(f"verdict: {verdict}")
@@ -247,30 +264,26 @@ def _check_face_numbers(family: str, n: int, fvec: list[int]) -> None:
     """Every nestohedron is a simple polytope, and those of Dynkin graphs
     (chordal, being trees) have gamma >= 0 (Postnikov-Reiner-Williams):
     the h-vector of fvec must be palindromic (Dehn-Sommerville) with a
-    nonnegative gamma-vector."""
+    nonnegative gamma-vector.  A_n, B_n and the reducible D_3 are the
+    associahedra of n, n + 1 and 4 points, whose f-vectors are the
+    Kirkman-Cayley numbers."""
     h = h_vector(fvec)
     if h != h[::-1] or min(gamma_vector(h)) < 0:
         raise ArithmeticError(f"series f-vector {fvec} of {family} n={n} has h-vector {h}: "
                               "not palindromic with nonnegative gamma-vector")
+    points = {"A": n, "B": n + 1, "D": 4 if n == 3 else None}[family]
+    if points and fvec != [kirkman_cayley(points, s) for s in range(1, points)]:
+        raise ArithmeticError(f"series f-vector {fvec} of {family} n={n} is not the "
+                              f"Kirkman-Cayley f-vector of the {points}-point associahedron")
 
 
 def run_fvector(args) -> int:
     family, n = args.family, args.n
+    fvec, _, verdict = _run_routes(
+        args.method, lambda: _check_series_n("fvector", "A" if family == "A" else "B, D", n),
+        lambda: fvector_tubings(dynkin_graph(family, n)),
+        lambda: _fvector_series(family, n), lambda fvec: _check_face_numbers(family, n, fvec))
     note = D3_DEGENERATE_NOTE if family == "D" and n == 3 else None
-    values = {}
-    series = args.method in ("series", "both")
-    if series:
-        _check_series_n("fvector", "A" if family == "A" else "B, D", n)
-        values["series"] = None  # first, as _compare reads it; built below
-    if args.method in ("tubings", "both"):
-        # its guard refuses before any work, so before the series is built
-        values["tubings"] = fvector_tubings(dynkin_graph(family, n))
-    if series:
-        values["series"] = _fvector_series(family, n)
-    fvec, verdict = _compare(values)
-    if "series" in values and verdict != "mismatch":
-        # a mismatch is already exit 2, and prints both answers
-        _check_face_numbers(family, n, values["series"])
     text = [f"{family} n={n} [{args.method}]: {fvec}"]
     if verdict:
         text.append(f"verdict: {verdict}")
@@ -280,16 +293,25 @@ def run_fvector(args) -> int:
                  text, [("codimension", "count"), *enumerate(fvec)])
 
 
+def _check_euler(family: str, n: int, chi: int) -> None:
+    """A closed manifold of odd dimension has Euler characteristic 0; the
+    real model has dimension n - 2 in type A, n - 1 in types B and D."""
+    dim = n - 2 if family == "A" else n - 1
+    if dim % 2 and chi != 0:
+        raise ArithmeticError(f"series Euler characteristic {chi} of {family} n={n} "
+                              f"is not 0 in odd dimension {dim}")
+
+
 def run_euler(args) -> int:
     family, n = args.family, args.n
-    _check_series_n("euler", "A" if family == "A" else "B, D", n)
-    note = D3_DEGENERATE_NOTE if family == "D" and n == 3 else None
-    values = {"series": euler_from_x(n) if family == "A" else euler_from_bd(family, n)}
     lo, hi = EULER_CW_RANGE[family]
-    if lo <= n <= hi:
-        values["cells"] = euler_cw(family, n)
-    value, verdict = _compare(values)
-    oracle = values.get("cells")
+    value, oracle, verdict = _run_routes(
+        "both" if lo <= n <= hi else "series",
+        lambda: _check_series_n("euler", "A" if family == "A" else "B, D", n),
+        lambda: euler_cw(family, n),
+        lambda: euler_from_x(n) if family == "A" else euler_from_bd(family, n),
+        lambda chi: _check_euler(family, n, chi))
+    note = D3_DEGENERATE_NOTE if family == "D" and n == 3 else None
     text = f"{family} n={n}: euler characteristic {value}"
     if verdict:
         text += f" ({verdict} vs cell count {oracle})"

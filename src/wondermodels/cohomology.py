@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .lattice import (
     BuildingElement,
     GroupId,
+    GuardExceeded,
     _NestedUniverse,
     _nested_universe,
     bits,
@@ -85,6 +86,13 @@ class AdmissibleFunction:
                  "exponent": e} for a, e in self.assignment]
 
 
+# the most nested sets the enumeration walks for one group: G(2,1,8)
+# (1,376,046 sets) still answers, in about 7 s on a 2-core host, and
+# G(1,1,11) is refused after about as long (README, "Guards and
+# conventions"); no flag changes it
+NESTED_SET_GUARD = 1_500_000
+
+
 def _admissible_supports(g: GroupId, weak_only: bool = False):
     """Yield (universe, mask, d-list) for every nested set all of whose
     members admit a positive exponent (d >= 2 throughout); the d-list
@@ -106,9 +114,11 @@ def _admissible_supports(g: GroupId, weak_only: bool = False):
     is only rewritten on another branch, after every set through this
     one.
 
-    The guard is building_set's: a group whose building set is larger
-    than lattice.BUILDING_SET_GUARD is refused there, counted from the
-    set's sizes before any element is built.
+    Two guards bound the work.  A group whose building set is larger
+    than lattice.BUILDING_SET_GUARD is refused by building_set, counted
+    from the set's sizes before any element is built.  A walk that
+    reaches more than NESTED_SET_GUARD sets is refused with GuardExceeded
+    once it has yielded that many.
     """
     uni = _NestedUniverse(g, tuple(sorted(
         (e for e in building_set(g)
@@ -123,8 +133,12 @@ def _admissible_supports(g: GroupId, weak_only: bool = False):
         path[newmask.bit_count() - 1] = (i, d)
         return d <= 1
 
-    for mask in uni.nested_masks(veto):
+    walk = uni.nested_masks(veto)
+    for mask in itertools.islice(walk, NESTED_SET_GUARD):
         yield uni, mask, path[:mask.bit_count()]
+    if next(walk, None) is not None:
+        raise GuardExceeded(f"the enumeration of {g} walks more than "
+                            f"{NESTED_SET_GUARD} nested sets")
 
 
 def poincare_bruteforce(g: GroupId) -> QPolynomial:

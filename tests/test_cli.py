@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import wondermodels.cli as cli
+import wondermodels.cohomology as cohomology
 from wondermodels.polytopes import gamma_vector, h_vector
 from wondermodels.series import QPolynomial
 
@@ -165,6 +166,15 @@ def test_both_methods_refuse_at_the_enumeration_guard_before_any_series(
     assert "guard violation" in captured.err and "by series" not in captured.err
 
 
+def test_the_enumeration_walk_refuses_past_its_cap(capsys, monkeypatch):
+    # the walk over G(1,1,6) reaches 148 nested sets
+    monkeypatch.setattr(cohomology, "NESTED_SET_GUARD", 100)
+    code = cli.main(["poincare", "--method", "bruteforce", "--n", "6"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("guard violation: ") and "100 nested sets" in err, err
+
+
 def test_series_guard_refuses_in_a_fresh_process():
     # each query would run for hours by series; the refusal exits at once.
     # The in-process tests above show that no series is built, so the time
@@ -287,12 +297,52 @@ for route, argv in (("fvector_typeA", ["--type", "A", "--n", "4"]),
     assert proc.stderr.count("not palindromic with nonnegative gamma-vector") == 6
 
 
+def test_series_fvectors_of_associahedra_are_kirkman_cayley_under_python_O():
+    # [1, 4, 4] is a square: its h-vector is palindromic with gamma >= 0, but
+    # A4, B3 and D3 are the pentagon, the 4-point associahedron
+    code = """
+import wondermodels.cli as cli
+assert not __debug__
+for route, argv in (("fvector_typeA", ["--type", "A", "--n", "4"]),
+                    ("fvector_from_fcy", ["--type", "B", "--n", "3"]),
+                    ("fvector_from_fcy", ["--type", "D", "--n", "3"])):
+    setattr(cli, route, lambda *args: [1, 4, 4])
+    print(cli.main(["fvector", "--method", "series", *argv]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"] * 3
+    assert proc.stderr.count("inconsistency: ") == 3
+    assert proc.stderr.count("is not the Kirkman-Cayley f-vector of the 4-point") == 3
+
+
 def test_internal_inconsistency_exits_2(capsys, monkeypatch):
     def boom(variant, n):
         raise ArithmeticError("non-integer face count")
     monkeypatch.setattr(cli, "fvector_from_fcy", boom)
     code, _ = run_cli(capsys, "fvector", "--type", "B", "--n", "3")
     assert code == 2
+
+
+def test_poincare_reports_a_disagreement_between_routes_as_a_mismatch(capsys, monkeypatch):
+    # 1 + 2q breaks duality, but a mismatch is the verdict that is reported,
+    # as fvector reports it: the series invariant is not applied
+    monkeypatch.setattr(cli, "poincare_from_psi", lambda n: QPolynomial({0: 1, 1: 2}))
+    code, out = run_cli(capsys, "poincare", "--n", "4")
+    assert code == 2
+    assert out == ('{"group":{"n":4,"p":1,"r":1},"method":"both",'
+                   '"poincare":[[0,1],[1,2]],"verdict":"mismatch"}\n')
+
+
+def test_routes_that_agree_on_an_answer_that_breaks_the_invariant_exit_2(capsys, monkeypatch):
+    poly = QPolynomial({0: 1, 1: 2})
+    monkeypatch.setattr(cli, "poincare_from_psi", lambda n: poly)
+    monkeypatch.setattr(cli, "poincare_bruteforce", lambda g: poly)
+    code = cli.main(["poincare", "--n", "4"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("inconsistency: ") and "is not palindromic" in err, err
 
 
 def test_series_poincare_duality_holds_under_python_O():
@@ -364,6 +414,33 @@ def test_euler_d3_uses_reducibility(capsys):
     assert doc["oracle"] == -3
     assert doc["verdict"] == "match"
     assert "reducible" in doc["note"]
+
+
+def test_series_euler_is_0_in_odd_dimension_under_python_O():
+    # dimension n - 2 in type A and n - 1 in B and D: A9, B14 and D14 are
+    # beyond the cell count, so the series answers alone and is checked
+    code = """
+import wondermodels.cli as cli
+assert not __debug__
+for route, argv in (("euler_from_x", ["--type", "A", "--n", "9"]),
+                    ("euler_from_bd", ["--type", "B", "--n", "14"]),
+                    ("euler_from_bd", ["--type", "D", "--n", "14"])):
+    setattr(cli, route, lambda *args: 1)
+    print(cli.main(["euler", *argv]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"] * 3
+    assert proc.stderr.count("inconsistency: ") == 3
+    assert proc.stderr.count("is not 0 in odd dimension") == 3
+
+
+def test_euler_in_even_dimension_is_not_held_to_0(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "euler_from_x", lambda n: 1)
+    code, out = run_cli(capsys, "euler", "--type", "A", "--n", "10")
+    assert code == 0
+    assert json.loads(out) == {"type": "A", "n": 10, "euler": 1}
 
 
 def test_euler_text(capsys):
