@@ -266,7 +266,11 @@ def _check_face_numbers(family: str, n: int, fvec: list[int]) -> None:
     the h-vector of fvec must be palindromic (Dehn-Sommerville) with a
     nonnegative gamma-vector.  A_n, B_n and the reducible D_3 are the
     associahedra of n, n + 1 and 4 points, whose f-vectors are the
-    Kirkman-Cayley numbers."""
+    Kirkman-Cayley numbers.  The facets of D_n are the tubes of its
+    Dynkin graph: the intervals of the (n-2)-node path, each fork node
+    alone or with an interval ending at node n - 2, and both fork nodes
+    with a nonempty such interval, less the whole graph, so
+    (n^2 + 3n - 8) / 2 of them."""
     h = h_vector(fvec)
     if h != h[::-1] or min(gamma_vector(h)) < 0:
         raise ArithmeticError(f"series f-vector {fvec} of {family} n={n} has h-vector {h}: "
@@ -275,6 +279,10 @@ def _check_face_numbers(family: str, n: int, fvec: list[int]) -> None:
     if points and fvec != [kirkman_cayley(points, s) for s in range(1, points)]:
         raise ArithmeticError(f"series f-vector {fvec} of {family} n={n} is not the "
                               f"Kirkman-Cayley f-vector of the {points}-point associahedron")
+    tubes = (n * n + 3 * n - 8) // 2
+    if family == "D" and fvec[1:2] != [tubes]:
+        raise ArithmeticError(f"series f-vector {fvec} of D n={n} does not have the "
+                              f"{tubes} tubes of the D_{n} Dynkin graph as its facets")
 
 
 def run_fvector(args) -> int:

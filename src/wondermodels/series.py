@@ -34,11 +34,11 @@ one running sum per output slice turns that array into numerators.  A
 slice of r runs and p other terms times a slice of m terms so takes
 (2r + p) * m updates, however long the runs.
 
-A product and a recurrence share one convolution loop, which splits one
-side into single terms and runs and takes the other side's terms as they
-are.  A recurrence puts S on the run side.  A product splits both
-operands and counts: the run side is the one whose updates (one per
-single term, two per run) times the other's term count is smaller.
+A product and a recurrence share one convolution loop, which splits its
+left factor, a product's first operand or the S of a recurrence, into
+single terms and runs, and takes the right factor's terms as they are.
+So the formula layer puts the factor that holds runs, or else the
+smaller one, on the left.
 
 Truncation is by t: `slices` has trunc + 1 entries, and terms of any
 q/z/w degree are kept.  That bounds the whole computation because in every
@@ -138,11 +138,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, trunc: int) -> "TruncatedSeries":
         return cls.from_slices(trunc, [{(0, 0, 0): 1}])
-
-    @classmethod
-    def monomial(cls, trunc: int, coeff, eq: int = 0, et: int = 0,
-                 ez: int = 0, ew: int = 0) -> "TruncatedSeries":
-        return cls(trunc, {(eq, et, ez, ew): coeff})
 
     @property
     def terms(self) -> "Terms":
@@ -252,9 +247,6 @@ def scale(s: TruncatedSeries, c) -> TruncatedSeries:
     return TruncatedSeries.from_slices(s.trunc, slices, s.den * c.denominator)
 
 
-# The dense index of the module docstring; z needs no bound in the box,
-# being its outermost digit.
-
 _second = operator.itemgetter(1)
 
 
@@ -276,54 +268,65 @@ def _check_grades(slices: list[Slice]) -> None:
 
 
 def _indexed(slices: list[Slice], Q: int, QW: int):
-    """An operand of _convolve, its slices keyed by dense index: each
-    slice as its (i, c) pairs by ascending i, so by ascending z; for each
-    n the top index among the first n + 1 of them (-1 while all are
-    empty); and, for each nonempty slice k in ascending order and each z
-    in it, ascending, a group (k, z, single terms [(i, c)], runs
-    [(start, stop, c)]).
+    """A factor of _convolve, its slices keyed by the dense index of the
+    module docstring (z, its outermost digit, needs no bound in the box):
+    each slice as its (i, c) pairs by ascending i, so by ascending z; and
+    for each n the top index among the first n + 1 of them (-1 while all
+    are empty)."""
+    Y, tops, top = [], [], -1
+    for sl in slices:
+        y = sorted([(eq + Q * ew + QW * ez, c) for (eq, ez, ew), c in sl.items()])
+        Y.append(y)
+        if y and y[-1][0] > top:
+            top = y[-1][0]
+        tops.append(top)
+    return Y, tops
+
+
+def _split(indexed, QW: int):
+    """The left factor of _convolve, from _indexed's slices: for each
+    nonempty slice k in ascending order and each z in it, ascending, a
+    group (k, z, single terms [(i, c)], runs [(start, stop, c)]).
 
     A run is three or more consecutive indices start..stop-1 at one z
     that share one coefficient (two cost as many updates as two single
-    terms), such as the q exponents of q [j]_q at one z and w.  Each term
-    is looked up at most twice.
+    terms), such as the q exponents of q [j]_q at one z and w.
     """
-    Y, tops, split, top = [], [], [], -1
-    for k, sl in enumerate(slices):
-        x = {eq + Q * ew + QW * ez: c for (eq, ez, ew), c in sl.items()}
-        y = sorted(x.items())
-        Y.append(y)
-        if y:
-            top = max(top, y[-1][0])
-        get, group = x.get, (k, -1)
-        for i, c in y:
-            if i % QW and get(i - 1) == c:
-                continue  # inside a run
-            if i // QW != group[1]:
-                group = (k, i // QW, [], [])
-                split.append(group)
-            j = i + 1
-            while j % QW and get(j) == c:
+    split = []
+    for k, y in enumerate(indexed):
+        z, p = -1, 0
+        while p < len(y):
+            i, c = y[p]
+            j = p + 1
+            while j < len(y) and y[j] == (i + j - p, c) and y[j][0] % QW:
                 j += 1
-            if j - i > 2:
-                group[3].append((i, j, c))
+            if i // QW != z:
+                z, points, runs = i // QW, [], []
+                split.append((k, z, points, runs))
+            if j - p > 2:
+                runs.append((i, i + j - p, c))
             else:
-                group[2].extend((m, c) for m in range(i, j))
-        tops.append(top)
-    return Y, tops, split
+                points += y[p:j]
+            p = j
+    return split
+
+
+def _decoded(pairs, Q: int, QW: int) -> Slice:
+    """The slice of the (i, c) pairs, i a dense index, c nonzero."""
+    return {(i % Q, i // QW, i % QW // Q): c for i, c in pairs}
 
 
 def _convolve(X, Y, n: int, weight, top: int, lo: int, QW: int):
     """Numerators at dense indices 0..top of sum_k weight(n, k) X_k Y_(n-k),
     over the pairs of terms whose product has z >= lo.
 
-    X is split into groups as by _indexed, and each Y_m is a list of
-    (i, c) by ascending i: a term of X at z meets the partners at z >=
-    lo - z, the tail of the list from index (lo - z) * QW on.  A run times
-    a term is a run again, shifted by the term's index: its coefficient
-    goes into a difference array at the shifted start and out at the
-    shifted stop, and the array is made when the first run is met.  The
-    box keeps every stop within its top + 2 entries.
+    X is split into groups by _split, and each Y_m is a list of (i, c) by
+    ascending i as _indexed gives it: a term of X at z meets the partners
+    at z >= lo - z, the tail of the list from index (lo - z) * QW on.  A
+    run times a term is a run again, shifted by the term's index: its
+    coefficient goes into a difference array at the shifted start and out
+    at the shifted stop, and the array is made when the first run is met.
+    The box keeps every stop within its top + 2 entries.
     """
     acc, diff = [0] * (top + 1), None
     for k, z, points, runs in X:
@@ -354,13 +357,12 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, *,
         bound: int | None = None, start: int = 0) -> TruncatedSeries:
     """Product, truncated in t: C_n = sum_k binom(n, k) A_k B_(n-k).
 
-    Both operands are split into single terms and runs, and the run side
-    is the one whose updates times the other's term count is smaller, on
-    a tie the one with fewer terms; binom(n, k) is symmetric, so the
-    sides may swap.  With a bound below trunc, the product's terms of
-    grade above it are never formed: the product is the plain one
-    without them.  With a start, no slice C_n with n < start is formed:
-    those slices are empty, and every other one is the plain product's.
+    a is split into single terms and runs and b's terms are taken as they
+    are, so the factor that holds runs, or else the smaller one, goes
+    first.  With a bound below trunc, the product's terms of grade above
+    it are never formed: the product is the plain one without them.
+    With a start, no slice C_n with n < start is formed: those slices are
+    empty, and every other one is the plain product's.
     """
     trunc = _same_trunc(a, b)
     bound = trunc if bound is None else min(bound, trunc)
@@ -370,17 +372,13 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, *,
     (qa, wa), (qb, wb) = _top_qw(a.slices), _top_qw(b.slices)
     Q = qa + qb + 1
     QW = Q * (wa + wb + 1)
-    (A, ta, RA), (B, tb, RB) = _indexed(a.slices, Q, QW), _indexed(b.slices, Q, QW)
-    # updates per term of the other side: one per single term, two per run
-    ua, ub = (sum(len(p) + 2 * len(r) for _, _, p, r in R) for R in (RA, RB))
-    na, nb = sum(map(len, A)), sum(map(len, B))
-    X, Y = (RA, B) if (ua * nb, na) <= (ub * na, nb) else (RB, A)
+    (A, ta), (B, tb) = _indexed(a.slices, Q, QW), _indexed(b.slices, Q, QW)
+    X = _split(A, QW)
     slices = [{} for _ in range(min(start, trunc + 1))]
     # C_n has no index above the top indices of A_0..A_n and B_0..B_n added
     for n in range(len(slices), trunc + 1):
-        slices.append({(i % Q, i // QW, i % QW // Q): v for i, v in
-                       enumerate(_convolve(X, Y, n, math.comb, ta[n] + tb[n], n - bound, QW))
-                       if v})
+        slices.append(_decoded(filter(_second, enumerate(
+            _convolve(X, B, n, math.comb, ta[n] + tb[n], n - bound, QW))), Q, QW))
     return TruncatedSeries.from_slices(trunc, slices, a.den * b.den)
 
 
@@ -397,7 +395,7 @@ def _recurrence(s: TruncatedSeries, weight, bound: int | None) -> TruncatedSerie
 
     With S_k = s_k / D, degree n of A carries D^n: its numerators obey
     a_n = sum weight(n, k) (s_k D^(k-1)) a_(n-k), and are brought to the
-    common denominator D^trunc at the end.  S sits on the run side, and
+    common denominator D^trunc at the end.  S is the split factor, and
     each A_n stays indexed until the end.  With a bound below trunc, no
     term of A_n of grade above it is formed, as in mul; a term of S has
     grade >= 0, so none of them could have led back below.
@@ -417,7 +415,8 @@ def _recurrence(s: TruncatedSeries, weight, bound: int | None) -> TruncatedSerie
     Q = 1 + max([trunc * max(S[k])[0] // k for k in support], default=0)
     W = 1 + max([trunc * max(m[2] for m in S[k]) // k for k in support], default=0)
     QW = Q * W
-    _, tx, X = _indexed(S, Q, QW)
+    X, tx = _indexed(S, Q, QW)
+    X = _split(X, QW)
     A = [[(0, 1)]]  # each A_n as its (i, c) pairs by ascending i
     ta = 0  # top index of A_0..A_(n-1)
     for n in range(1, trunc + 1):
@@ -426,7 +425,7 @@ def _recurrence(s: TruncatedSeries, weight, bound: int | None) -> TruncatedSerie
         if a_n and a_n[-1][0] > ta:
             ta = a_n[-1][0]
         A.append(a_n)
-    slices = [{(i % Q, i // QW, i % QW // Q): v for i, v in a_n} for a_n in A]
+    slices = [_decoded(a_n, Q, QW) for a_n in A]
     if D != 1:
         slices = [{k: v * D ** (trunc - n) for k, v in sl.items()}
                   for n, sl in enumerate(slices)]

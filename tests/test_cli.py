@@ -11,7 +11,7 @@ import pytest
 
 import wondermodels.cli as cli
 import wondermodels.cohomology as cohomology
-from wondermodels.polytopes import gamma_vector, h_vector
+from wondermodels.polytopes import dynkin_graph, fvector_tubings, gamma_vector, h_vector
 from wondermodels.series import QPolynomial
 
 
@@ -315,6 +315,28 @@ for route, argv in (("fvector_typeA", ["--type", "A", "--n", "4"]),
     assert proc.stdout.split() == ["2"] * 3
     assert proc.stderr.count("inconsistency: ") == 3
     assert proc.stderr.count("is not the Kirkman-Cayley f-vector of the 4-point") == 3
+
+
+def test_series_fvectors_of_type_D_have_the_tubes_as_facets_under_python_O():
+    # [1, 9, 21, 14], the 5-point associahedron, passes the h- and
+    # gamma-vector check (h = [1, 6, 6, 1], gamma = [1, 3]), but D4 has 10 tubes
+    code = """
+import wondermodels.cli as cli
+assert not __debug__
+cli.fvector_from_fcy = lambda *args: [1, 9, 21, 14]
+print(cli.main(["fvector", "--method", "series", "--type", "D", "--n", "4"]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"]
+    assert "does not have the 10 tubes of the D_4 Dynkin graph" in proc.stderr
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_the_face_number_check_passes_the_tubing_f_vectors_of_type_D(n):
+    # the check's count of D_n tubes against the tubings route's facets
+    cli._check_face_numbers("D", n, fvector_tubings(dynkin_graph("D", n)))
 
 
 def test_internal_inconsistency_exits_2(capsys, monkeypatch):

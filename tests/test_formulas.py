@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from wondermodels import formulas, series
+from wondermodels.cli import SERIES_REGISTRY
 from wondermodels.formulas import (
     D3_DEGENERATE_NOTE,
     _blocks,
@@ -23,6 +25,7 @@ from wondermodels.formulas import (
     kirkman_cayley,
     phi_full_monomial,
     phi_rr,
+    phi_slice,
     poincare_from_phi,
     poincare_from_psi,
     psi_series,
@@ -230,7 +233,7 @@ def test_tilde_gamma_lowest_terms():
 def oracle_tilde_gamma(trunc, bound=None):
     """tilde_gamma as three products: 2/(1-2t)^2 from two inverses of
     1 - 2t, times exp(sum_{j>=2} w z (2t)^j / 2), every call bounded."""
-    inv = invert_one_minus(TruncatedSeries.monomial(trunc, 2, et=1), bound=bound)
+    inv = invert_one_minus(TruncatedSeries(trunc, {(0, 1, 0, 0): 2}), bound=bound)
     pre = scale(mul(inv, inv, bound=bound), 2)
     arg = TruncatedSeries.from_slices(
         trunc, [{}, {}] + [{(0, 1, 1): 2 ** (j - 1) * math.factorial(j)}
@@ -356,11 +359,11 @@ def test_euler_series_is_w_free():
 def oracle_f_cy(variant, trunc):
     """f_cy built whole in (t, w) from Fraction terms."""
     T = TruncatedSeries
-    wtg = mul(T.monomial(trunc, 1, ew=1), tilde_big_gamma(trunc))
+    wtg = mul(T(trunc, {(0, 0, 0, 1): 1}), tilde_big_gamma(trunc))
     inv = invert_one_minus(wtg)
     if variant == "B":
         return inv
-    num = add(mul(add(T.one(trunc), T.monomial(trunc, -1, et=1)), wtg),
+    num = add(mul(add(T.one(trunc), T(trunc, {(0, 1, 0, 0): -1})), wtg),
               T(trunc, {(0, 1, 0, 1): Fraction(-2), (0, 2, 0, 1): Fraction(-2),
                         (0, 2, 0, 2): Fraction(-2)}))
     return mul(num, inv)
@@ -374,7 +377,7 @@ def oracle_euler_series_bd(variant, trunc):
 def oracle_phi_rr2(trunc):
     """phi_rr at r = 2 as (1 - q t^2/2) times the whole full monomial series."""
     twist = add(TruncatedSeries.one(trunc),
-                TruncatedSeries.monomial(trunc, Fraction(-1, 2), eq=1, et=2))
+                TruncatedSeries(trunc, {(1, 2, 0, 0): Fraction(-1, 2)}))
     return mul(twist, phi_full_monomial(2, trunc))
 
 
@@ -415,6 +418,47 @@ def test_windowed_builders_are_the_plain_ones_from_their_start_on(trunc):
         for start in range(trunc + 2):
             want = _from_start(whole, start) if windows else whole
             assert build(trunc, start=start) == want, (name, start)
+
+
+def _split_cost(x, y):
+    """Updates of splitting x in the dense box of the product of x and y,
+    one per single term and two per run, and x's term count."""
+    (qx, wx), (qy, wy) = series._top_qw(x.slices), series._top_qw(y.slices)
+    Q = qx + qy + 1
+    QW = Q * (wx + wy + 1)
+    X, _ = series._indexed(x.slices, Q, QW)
+    return sum(len(p) + 2 * len(r) for _, _, p, r in series._split(X, QW)), sum(map(len, X))
+
+
+def test_every_product_splits_its_cheaper_factor(monkeypatch):
+    # series.mul splits its left factor alone, so the formula layer must put
+    # on the left the factor whose updates times the other's term count is
+    # the smaller (a tie either way)
+    products, where = [], []
+
+    def recording(a, b, **window):
+        (ua, na), (ub, nb) = _split_cost(a, b), _split_cost(b, a)
+        products.append((where[-1], ua * nb, ub * na))
+        return mul(a, b, **window)
+
+    monkeypatch.setattr(formulas, "mul", recording)
+    for r in (2, 3):
+        for name, build in SERIES_REGISTRY.items():
+            where.append(f"{name} r={r}")
+            build(r, 12)
+    for n in range(14, 25):
+        for r in (2, 3):
+            for phi in (phi_full_monomial, phi_rr):
+                where.append(f"phi_slice {phi.__name__} r={r} n={n}")
+                phi_slice(phi, r, n)
+        where.append(f"fvector_typeA n={n}")
+        fvector_typeA(n)
+        for v in "BD":
+            where.append(f"{v} n={n}")
+            fvector_from_fcy(v, n)
+            euler_from_bd(v, n)
+    assert len(products) > 100
+    assert [p for p in products if p[1] > p[2]] == []
 
 
 # ---------------------------------------------------------------------------
