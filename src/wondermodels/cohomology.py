@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from .lattice import (
     BuildingElement,
     GroupId,
     GuardExceeded,
+    Record,
     _NestedUniverse,
     _nested_universe,
     bits,
@@ -38,8 +38,7 @@ class MalformedPartition(ValueError):
     """A weighted partition that does not decode to an admissible function."""
 
 
-@dataclass(frozen=True)
-class AdmissibleFunction:
+class AdmissibleFunction(Record):
     """Exponent function on a nested set: the index of one basis monomial.
 
     assignment maps each support element A to an exponent with
@@ -51,8 +50,12 @@ class AdmissibleFunction:
     members inside A that lie inside no other member inside A.
     """
 
-    group: GroupId
-    assignment: tuple[tuple[BuildingElement, int], ...]
+    __slots__ = FIELDS = ("group", "assignment")
+
+    def __init__(self, group: GroupId, assignment: tuple[tuple[BuildingElement, int], ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "assignment", assignment)
+        self.__post_init__()
 
     def __post_init__(self):
         exponents = dict(self.assignment)
@@ -178,11 +181,14 @@ def enumerate_admissible(g: GroupId, weak_only: bool = False):
 # weighted partition bijection for all-weak supports
 
 
-@dataclass(frozen=True)
-class Part:
-    members: tuple[int, ...]
-    weights: tuple[int, ...]  # aligned with members
-    exponent: int
+class Part(Record):
+    __slots__ = FIELDS = ("members", "weights", "exponent")
+
+    def __init__(self, members: tuple[int, ...], weights: tuple[int, ...], exponent: int):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "weights", weights)  # aligned with members
+        object.__setattr__(self, "exponent", exponent)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.members) != len(self.weights):
@@ -204,8 +210,7 @@ def _members_key(part: Part) -> tuple:
     return (0, ms) if all([isinstance(m, int) for m in ms]) else (1, repr(ms))
 
 
-@dataclass(frozen=True)
-class WeightedPartition:
+class WeightedPartition(Record):
     """Partition of {1..ground_size} into weighted parts with exponents.
 
     At most one part has exponent 0 (it then has >= 2 members, among them
@@ -213,8 +218,12 @@ class WeightedPartition:
     between 1 and size - 2.
     """
 
-    ground_size: int
-    parts: tuple[Part, ...]
+    __slots__ = FIELDS = ("ground_size", "parts")
+
+    def __init__(self, ground_size: int, parts: tuple[Part, ...]):
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "parts", parts)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(sorted(self.parts, key=_members_key)))

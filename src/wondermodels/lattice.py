@@ -23,7 +23,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 
 
 class GuardExceeded(Exception):
@@ -36,14 +35,67 @@ class Variant(enum.Enum):
     RR = "rr"
 
 
-@dataclass(frozen=True)
-class GroupId:
-    r: int
-    p: int
-    n: int
+class Record:
+    """Base of the package's immutable value classes: GroupId,
+    BuildingElement and LatticeElement here, AdmissibleFunction, Part and
+    WeightedPartition in cohomology, Graph in polytopes.
+
+    A subclass names its fields in FIELDS, in the order of its
+    constructor, and those that identity reads in COMPARED (all of
+    FIELDS unless it says otherwise; two or more either way).  Its
+    __init__ sets each field with object.__setattr__ and then calls its
+    __post_init__, which checks them.  The base gives it:
+      - equality with an instance of the same class only, on COMPARED;
+      - the hash of the tuple of the COMPARED values;
+      - the repr ClassName(field=value, ...) over FIELDS;
+      - AttributeError on setting or deleting any attribute;
+      - copies and pickles rebuilt through the constructor, so they are
+        checked again and derive their facts afresh.
+    A subclass that declares no __slots__ keeps a __dict__, which its
+    cached properties need.
+    """
+
+    __slots__ = ()
+    FIELDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = property(operator.attrgetter(*getattr(cls, "COMPARED", cls.FIELDS)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.FIELDS])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.FIELDS])
+
+
+class GroupId(Record):
+    FIELDS = ("r", "p", "n")
+
+    def __init__(self, r: int, p: int, n: int):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.r < 1 or self.p < 1 or self.n < 2:
+        # an int only: 2.0 would equal 2 and share its cached building set
+        if (any([type(v) is not int for v in (self.r, self.p, self.n)])
+                or self.r < 1 or self.p < 1 or self.n < 2):
             raise ValueError(f"bad group parameters G({self.r},{self.p},{self.n})")
         if self.r % self.p:
             raise ValueError(f"p = {self.p} does not divide r = {self.r}")
@@ -71,14 +123,8 @@ class GroupId:
         return f"G({self.r},{self.p},{self.n})"
 
 
-class _Facts:
-    """The slots a BuildingElement keeps beside its four fields."""
-
-    __slots__ = ("mask", "is_canonical", "_hash", "_view")
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class BuildingElement(_Facts):
+@functools.total_ordering
+class BuildingElement(Record):
     """One irreducible subspace: a zero set ('strong') or a weighted block ('weak').
 
     support is a sorted tuple of coordinates; weights align with support,
@@ -94,14 +140,21 @@ class BuildingElement(_Facts):
     weights, would make one subspace two elements.  The hash of the fields
     that equality compares is taken once too.  The lattice view is built on
     the first as_lattice() and kept.  None of them is a field, so equality,
-    hash, order, repr and dataclasses.fields are those of the four fields
-    alone.
+    hash, order, repr and FIELDS are those of the four fields alone; r is
+    left out of equality, hash and order.
     """
 
-    kind: str  # "strong" < "weak" alphabetically, giving strongs first in sort
-    support: tuple[int, ...]
-    weights: tuple[int, ...]
-    r: int = field(compare=False)
+    FIELDS = ("kind", "support", "weights", "r")
+    # "strong" < "weak" alphabetically, giving strongs first in sort
+    COMPARED = ("kind", "support", "weights")
+    __slots__ = FIELDS + ("mask", "is_canonical", "_hash", "_view")
+
+    def __init__(self, kind: str, support: tuple[int, ...], weights: tuple[int, ...], r: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "r", r)
+        self.__post_init__()
 
     def __post_init__(self):
         s, w = self.support, self.weights
@@ -118,14 +171,16 @@ class BuildingElement(_Facts):
             mask |= 1 << x
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "is_canonical", canonical)
-        object.__setattr__(self, "_hash", hash((self.kind, s, w)))
+        object.__setattr__(self, "_hash", hash(self._key))
         object.__setattr__(self, "_view", None)
 
     def __hash__(self):  # the hash of the fields that equality compares
         return self._hash
 
-    def __reduce__(self):  # copies and pickles rebuild the facts
-        return BuildingElement, (self.kind, self.support, self.weights, self.r)
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
 
     @classmethod
     def strong(cls, coords, r: int) -> "BuildingElement":
@@ -187,20 +242,23 @@ class BuildingElement(_Facts):
         return self.text()
 
 
-# the order of BuildingElement's fields, as a sort key
-_ORDER = operator.attrgetter("kind", "support", "weights")
+# the order of BuildingElement's compared fields, as a sort key
+_ORDER = operator.attrgetter(*BuildingElement.COMPARED)
 
 
 Block = tuple[tuple[int, ...], tuple[int, ...]]  # (support, weights)
 
 
-@dataclass(frozen=True)
-class LatticeElement:
+class LatticeElement(Record):
     """General lattice element: zero set plus pairwise disjoint weighted blocks."""
 
-    r: int
-    zeros: tuple[int, ...]
-    blocks: tuple[Block, ...]
+    __slots__ = FIELDS = ("r", "zeros", "blocks")
+
+    def __init__(self, r: int, zeros: tuple[int, ...], blocks: tuple[Block, ...]):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "blocks", blocks)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.blocks or (len(self.blocks) == 1 and not self.zeros):

@@ -28,18 +28,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import GuardExceeded
+from .lattice import GuardExceeded, Record
 
 TUBE_NODE_GUARD = 12
 
 
-@dataclass(frozen=True)
-class Graph:
-    nodes: tuple[int, ...]
-    edges: frozenset[frozenset]
+class Graph(Record):
+    FIELDS = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple[int, ...], edges: frozenset[frozenset]):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, nodes, edges) -> "Graph":

@@ -604,3 +604,18 @@ def test_closed_stdout_exits_quietly():
             os.close(write_end)
         assert proc.stderr == "", proc.stderr  # no traceback, no ignored error
         assert proc.returncode == cli.EXIT_CLOSED_STDOUT == 1, argv
+
+
+def test_start_up_imports_no_dataclasses_or_inspect():
+    # every CLI call pays for the import; dataclasses alone pulls in
+    # inspect, ast, dis and tokenize, a third of the package's start-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; bare = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+            "from wondermodels import cli; cli.build_parser(); "
+            "print(*sorted(set(sys.modules) - bare))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "wondermodels.cohomology" in added and "wondermodels.polytopes" in added
+    assert {"dataclasses", "inspect"} & set(added) == set()

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import itertools
 import pickle
@@ -111,6 +110,17 @@ def test_group_id_validation_and_variant():
         GroupId(4, 3, 3)  # p must divide r
     with pytest.raises(ValueError):
         GroupId(2, 1, 1)  # n >= 2
+
+
+@pytest.mark.parametrize("rpn", [(2, 1, 3.5), (2.0, 1, 3), (2, 1.0, 3), (2, 1, 3.0),
+                                 (True, 1, 3), ("2", 1, 3), (2, 1, None)])
+def test_group_id_refuses_parameters_that_are_not_ints(rpn):
+    # 2.0 or True would equal the int group, hash and all, and share its
+    # cached building set; 3.5 would fail only inside building_set
+    with pytest.raises(ValueError, match=r"bad group parameters"):
+        GroupId(*rpn)
+    with pytest.raises(ValueError, match=r"bad group parameters"):
+        GroupId(**dict(zip("rpn", rpn)))
 
 
 def test_building_element_normalization():
@@ -356,8 +366,7 @@ def test_stored_mask_and_view_leave_identity_alone(rpn):
         for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
             assert twin == e and twin.r == e.r and twin.mask == e.mask
             assert twin.is_canonical and twin.as_lattice() == e.as_lattice()
-    assert [f.name for f in dataclasses.fields(BuildingElement)] == \
-        ["kind", "support", "weights", "r"]
+    assert list(BuildingElement.FIELDS) == ["kind", "support", "weights", "r"]
     # read views and masks on the cached set, sort a fresh one beside it
     assert bs == tuple(sorted(oracle_building_elements(g)))
     assert list(bs) == sorted(bs, key=lambda e: (e.kind, e.support, e.weights))

@@ -177,3 +177,20 @@ def test_a_grade_bound_is_only_forwarded():
         ("formulas.py", readout) for readout in
         ("_substituted", "phi_slice", "fvector_typeA", "fvector_from_fcy", "euler_from_bd")]
     assert laundered == []
+
+
+def test_no_library_module_imports_dataclasses():
+    # the value classes stand on lattice.Record, so start-up never loads
+    # dataclasses (see test_cli's start-up test)
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
