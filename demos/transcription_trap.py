@@ -15,6 +15,7 @@ Run:  python3 demos/transcription_trap.py
 from wondermodels.cohomology import poincare_bruteforce
 from wondermodels.formulas import phi_full_monomial, poincare_from_phi
 from wondermodels.lattice import GroupId
+from wondermodels.selftest import misread_phi_full_monomial
 
 
 def main():
@@ -22,8 +23,7 @@ def main():
     for n in (2, 3):
         enum = poincare_bruteforce(GroupId(r, 1, n))
         plain = poincare_from_phi(phi_full_monomial(r, n), n)
-        misread = poincare_from_phi(
-            phi_full_monomial(r, n, literal_reading=True), n)
+        misread = poincare_from_phi(misread_phi_full_monomial(r, n), n)
         print(f"G(2,1,{n}): enumeration gives {enum}")
         print(f"          both readings agree with it: "
               f"{plain == enum and misread == enum}")
@@ -34,7 +34,7 @@ def main():
     print(f"G(2,1,{n}): enumeration gives {enum}")
     print(f"          structural reading gives {plain}, match: {plain == enum}")
     try:
-        poincare_from_phi(phi_full_monomial(r, n, literal_reading=True), n)
+        poincare_from_phi(misread_phi_full_monomial(r, n), n)
         print("          misreading produced a polynomial, should not happen")
     except ArithmeticError as err:
         print(f"          misreading breaks down: {err}")

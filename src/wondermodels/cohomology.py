@@ -30,6 +30,7 @@ from .lattice import (
     building_set,
     contains,
     d_value,
+    is_int,
 )
 from .series import QPolynomial
 
@@ -62,7 +63,7 @@ class AdmissibleFunction(Record):
         if len(exponents) != len(self.assignment):
             raise ValueError("repeated element in assignment")
         for a, e in self.assignment:
-            if not isinstance(e, int):
+            if not is_int(e):
                 raise ValueError(f"exponent {e!r} for {a} is not an integer")
         uni = _nested_universe(exponents, self.group)
         if uni is None:
@@ -97,9 +98,12 @@ NESTED_SET_GUARD = 1_500_000
 
 
 def _admissible_supports(g: GroupId, weak_only: bool = False):
-    """Yield (universe, mask, d-list) for every nested set all of whose
-    members admit a positive exponent (d >= 2 throughout); the d-list
-    pairs each member's index with its d-value.
+    """Yield (universe, mask, d-list, d-key) for every nested set all of
+    whose members admit a positive exponent (d >= 2 throughout); the
+    d-list pairs each member's index with its d-value, and the d-key is
+    the multiset of the d-values as an int, sum over members of
+    (n + 1)^d: one base-(n + 1) digit per d-value, which no count
+    reaches, a nested set having at most n members.
 
     Rank-1 elements always have d = 1, so no such set contains them;
     the universe leaves them out up front, which shrinks the search a lot.
@@ -112,10 +116,11 @@ def _admissible_supports(g: GroupId, weak_only: bool = False):
     below[i], with tops as nested_masks hands it to the veto, which is
     what lattice.d_value reads.  So the veto reads the d-value off the
     universe once, when the member joins, and keeps it at the member's
-    place in the set, which the d-list reads back: nested_masks yields
-    each set right after the veto passed its newest member, and a place
-    is only rewritten on another branch, after every set through this
-    one.
+    place in the set, which the d-list reads back; it also adds the
+    member's digit to the d-key of the set it joins and keeps the sum at
+    the next place.  nested_masks yields each set right after the veto
+    passed its newest member, and a place is only rewritten on another
+    branch, after every set through this one.
 
     Two guards bound the work.  A group whose building set is larger
     than lattice.BUILDING_SET_GUARD is refused by building_set, counted
@@ -128,17 +133,22 @@ def _admissible_supports(g: GroupId, weak_only: bool = False):
          if e.dimension() >= 2 and not (weak_only and e.is_strong)),
         key=BuildingElement.dimension)))
     path = [(0, 0)] * len(uni.elems)  # (index, d-value) of each member, by place
+    keys = [0] * (len(uni.elems) + 1)  # d-key of the first k members at k
+    digit = [(g.n + 1) ** d for d in range(g.n + 1)]
 
     def veto(i: int, newmask: int, tops: int) -> bool:
         # every earlier member passed this test and its d-value is final;
         # a newcomer at d <= 1 stays there in every extension
         d = d_value(uni, i, tops)
-        path[newmask.bit_count() - 1] = (i, d)
+        k = newmask.bit_count()
+        path[k - 1] = (i, d)
+        keys[k] = keys[k - 1] + digit[d]
         return d <= 1
 
     walk = uni.nested_masks(veto)
     for mask in itertools.islice(walk, NESTED_SET_GUARD):
-        yield uni, mask, path[:mask.bit_count()]
+        k = mask.bit_count()
+        yield uni, mask, path[:k], keys[k]
     if next(walk, None) is not None:
         raise GuardExceeded(f"the enumeration of {g} walks more than "
                             f"{NESTED_SET_GUARD} nested sets")
@@ -149,16 +159,16 @@ def poincare_bruteforce(g: GroupId) -> QPolynomial:
 
     Each support contributes the product over its members of
     q + q^2 + ... + q^(d-1), which depends only on its d-values; supports
-    are counted by their sorted d-tuple and each tuple's product is
-    taken once.
+    are counted by their d-key and each key's product is taken once.
     """
-    tuples = Counter(tuple(sorted(d for _, d in ds))
-                     for _, _, ds in _admissible_supports(g))
     total = QPolynomial()
-    for ds, count in tuples.items():
-        poly = QPolynomial({0: count})
-        for d in ds:
-            poly = poly * QPolynomial({k: 1 for k in range(1, d)})
+    for key, count in Counter(key for *_, key in _admissible_supports(g)).items():
+        poly, d = QPolynomial({0: count}), 0
+        while key:
+            key, members = divmod(key, g.n + 1)
+            for _ in range(members):
+                poly = poly * QPolynomial({k: 1 for k in range(1, d)})
+            d += 1
         total = total + poly
     return total
 
@@ -170,7 +180,7 @@ def enumerate_admissible(g: GroupId, weak_only: bool = False):
     partition bijection); d-values of all-weak sets do not involve strong
     elements, so the restriction is sound.
     """
-    for uni, _, ds in _admissible_supports(g, weak_only):
+    for uni, _, ds, _ in _admissible_supports(g, weak_only):
         elems = [uni.elems[i] for i, _ in ds]
         ranges = [range(1, d) for _, d in ds]
         for choice in itertools.product(*ranges):
@@ -207,7 +217,7 @@ def _members_key(part: Part) -> tuple:
     sorting never compares an int with another type and decode_partition
     is left to refuse the part."""
     ms = part.members
-    return (0, ms) if all([isinstance(m, int) for m in ms]) else (1, repr(ms))
+    return (0, ms) if all(map(is_int, ms)) else (1, repr(ms))
 
 
 class WeightedPartition(Record):
@@ -312,7 +322,7 @@ def decode_partition(p: WeightedPartition, g: GroupId) -> AdmissibleFunction:
     for part in p.parts:
         entries += (*part.members, *part.weights, part.exponent)
     for v in entries:
-        if not isinstance(v, int):
+        if not is_int(v):
             raise MalformedPartition(f"ground size, member, weight or exponent "
                                      f"{v!r} is not an integer")
     if not p.parts:

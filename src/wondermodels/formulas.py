@@ -71,22 +71,15 @@ from .series import (
 T = TruncatedSeries
 
 
-def _blocks(r: int, trunc: int, literal_reading: bool = False) -> TruncatedSeries:
+def _blocks(r: int, trunc: int) -> TruncatedSeries:
     """sum_{i>=3} (z/r) q [i-2]_q (rt)^i / i!, the exponent of the block product.
 
-    Its t^i numerator is r^(i-1).  literal_reading swaps (rt)^i/i! for
-    (tr/i!)^i, which is not integral in this scaling: its t^i numerator
-    r^(i-1) / (i!)^(i-1) goes over one den shared by every slice.
+    Its t^i numerator is r^(i-1).
     """
     if r < 1:
         raise ValueError(f"the block series needs r >= 1, got r = {r}")
-    over = {i: math.factorial(i) ** (i - 1) if literal_reading else 1
-            for i in range(3, trunc + 1)}
-    den = math.lcm(*over.values())
-    slices = [{} for _ in range(trunc + 1)]
-    for i, o in over.items():
-        slices[i] = {(e + 1, 1, 0): r ** (i - 1) * (den // o) for e in q_analog(i - 2)}
-    return T.from_slices(trunc, slices, den)
+    return T.from_slices(trunc, [{}, {}, {}] + [
+        {(e + 1, 1, 0): r ** (i - 1) for e in q_analog(i - 2)} for i in range(3, trunc + 1)])
 
 
 def psi_series(trunc: int, bound: int | None = None) -> TruncatedSeries:
@@ -106,20 +99,19 @@ def k_series(r: int, trunc: int, bound: int | None = None) -> TruncatedSeries:
     return assert_degree_bounds(exp(arg, bound=bound))
 
 
-def gamma_series(r: int, trunc: int, literal_reading: bool = False,
-                 bound: int | None = None) -> TruncatedSeries:
-    """Blocks through the marked point: prefactor sum_{i>=2} q[i-1]_q t^(i-1)/(i-1)!
-    times the same infinite product as k_series.
-
-    literal_reading swaps the product exponent (rt)^i/i! for (tr/i!)^i, a
-    transcription that breaks the structural match with k_series; it is kept
-    only so the discrepancy can be demonstrated (it fails the brute-force
-    cross-check at n = 4).
-    """
+def _gamma(blocks: TruncatedSeries, bound: int | None = None) -> TruncatedSeries:
+    """sum_{i>=2} q[i-1]_q t^(i-1)/(i-1)! times exp(blocks), the gamma series
+    of an exponent: _blocks here, selftest's misread blocks there."""
+    trunc = blocks.trunc
     pre = T.from_slices(trunc, [{}] + [{(e + 1, 0, 0): 1 for e in q_analog(m)}
                                        for m in range(1, trunc + 1)])
-    blocks = exp(_blocks(r, trunc, literal_reading), bound=bound)
-    return assert_degree_bounds(mul(pre, blocks, bound=bound))
+    return assert_degree_bounds(mul(pre, exp(blocks, bound=bound), bound=bound))
+
+
+def gamma_series(r: int, trunc: int, bound: int | None = None) -> TruncatedSeries:
+    """Blocks through the marked point: prefactor sum_{i>=2} q[i-1]_q t^(i-1)/(i-1)!
+    times the same infinite product as k_series."""
+    return _gamma(_blocks(r, trunc), bound=bound)
 
 
 def _substituted(build, trunc: int, ratio: int, integrate: bool) -> TruncatedSeries:
@@ -133,10 +125,9 @@ def _substituted(build, trunc: int, ratio: int, integrate: bool) -> TruncatedSer
     return truncated(out, trunc)
 
 
-def big_gamma(r: int, trunc: int, literal_reading: bool = False) -> TruncatedSeries:
+def big_gamma(r: int, trunc: int) -> TruncatedSeries:
     """Gamma = integral of gamma with z replaced by d/dt."""
-    return _substituted(lambda w, bound: gamma_series(r, w, literal_reading, bound=bound),
-                        trunc, 3, True)
+    return _substituted(lambda w, bound: gamma_series(r, w, bound=bound), trunc, 3, True)
 
 
 def cal_k(r: int, trunc: int) -> TruncatedSeries:
@@ -145,14 +136,12 @@ def cal_k(r: int, trunc: int) -> TruncatedSeries:
                _substituted(lambda w, bound: k_series(r, w, bound=bound), trunc, 3, True))
 
 
-def phi_full_monomial(r: int, trunc: int, literal_reading: bool = False, *,
-                      start: int = 0) -> TruncatedSeries:
+def phi_full_monomial(r: int, trunc: int, *, start: int = 0) -> TruncatedSeries:
     """Poincare series of the models Y_{G(r,p,n)}, p < r: 1/(1-Gamma) * calK,
     its slices below start left empty."""
     if r < 2:
         raise ValueError("full monomial series needs r >= 2")
-    return mul(invert_one_minus(big_gamma(r, trunc, literal_reading)),
-               cal_k(r, trunc), start=start)
+    return mul(invert_one_minus(big_gamma(r, trunc)), cal_k(r, trunc), start=start)
 
 
 def phi_rr(r: int, trunc: int, *, start: int = 0) -> TruncatedSeries:

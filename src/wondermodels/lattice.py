@@ -35,6 +35,13 @@ class Variant(enum.Enum):
     RR = "rr"
 
 
+def is_int(v) -> bool:
+    """Whether v is an int proper.  A bool or a float such as 2.0 would pass
+    an isinstance check or equal an int, hash and all, and then stand for
+    a coordinate, weight, exponent or group parameter it is not."""
+    return type(v) is int
+
+
 class Record:
     """Base of the package's immutable value classes: GroupId,
     BuildingElement and LatticeElement here, AdmissibleFunction, Part and
@@ -93,8 +100,7 @@ class GroupId(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        # an int only: 2.0 would equal 2 and share its cached building set
-        if (any([type(v) is not int for v in (self.r, self.p, self.n)])
+        if (not all(map(is_int, (self.r, self.p, self.n)))
                 or self.r < 1 or self.p < 1 or self.n < 2):
             raise ValueError(f"bad group parameters G({self.r},{self.p},{self.n})")
         if self.r % self.p:
@@ -134,9 +140,9 @@ class BuildingElement(Record):
     Two facts are decided from the fields once, at construction, and kept
     in slots: mask, the support as a bitmask (bit x for coordinate x), and
     is_canonical, whether the fields have that canonical form: the support
-    strictly increasing; a strong element without weights; a weak one with
-    one weight per support point, weights[0] == 0 and every weight an int
-    in 0..r-1.  Any other spelling of a subspace, such as unnormalised
+    strictly increasing ints; a strong element without weights; a weak one
+    with one weight per support point, weights[0] == 0 and every weight an
+    int in 0..r-1.  Any other spelling of a subspace, such as unnormalised
     weights, would make one subspace two elements.  The hash of the fields
     that equality compares is taken once too.  The lattice view is built on
     the first as_lattice() and kept.  None of them is a field, so equality,
@@ -163,9 +169,12 @@ class BuildingElement(Record):
         else:
             r = self.r
             canonical = (self.kind == "weak" and len(w) == len(s) and w[:1] == (0,)
-                         and all([isinstance(a, int) and 0 <= a < r for a in w]))
+                         and all([is_int(a) and 0 <= a < r for a in w]))
         mask = 0
         for x in s:
+            if not is_int(x):  # no bit for it
+                canonical = False
+                continue
             if mask >> x:  # x is not above every coordinate before it
                 canonical = False
             mask |= 1 << x
@@ -184,20 +193,20 @@ class BuildingElement(Record):
 
     @classmethod
     def strong(cls, coords, r: int) -> "BuildingElement":
-        support = tuple(sorted(set(coords)))
-        if not support or support[0] < 1:
-            raise ValueError("strong element needs a nonempty set of coordinates >= 1")
-        return cls("strong", support, (), r)
+        coords = tuple(coords)
+        if not coords or not all(map(is_int, coords)) or min(coords) < 1:
+            raise ValueError("strong element needs a nonempty set of int coordinates >= 1")
+        return cls("strong", tuple(sorted(set(coords))), (), r)
 
     @classmethod
     def weak(cls, coords, weights, r: int) -> "BuildingElement":
         """weights: a dict by coordinate, or a sequence in the order of coords."""
         coords = tuple(coords)
+        if len(coords) < 2 or not all(map(is_int, coords)) or min(coords) < 1:
+            raise ValueError("weak element needs >= 2 int coordinates >= 1")
         support = tuple(sorted(set(coords)))
         if len(support) != len(coords):
             raise ValueError("repeated coordinate in a weak element")
-        if len(support) < 2 or support[0] < 1:
-            raise ValueError("weak element needs >= 2 coordinates >= 1")
         if not isinstance(weights, dict):
             weights = dict(zip(coords, weights, strict=True))
         missing = [i for i in support if i not in weights]
@@ -207,7 +216,7 @@ class BuildingElement(Record):
         if extra:
             raise ValueError(f"weight for coordinate {extra[0]} outside the support")
         for i in support:
-            if not isinstance(weights[i], int):
+            if not is_int(weights[i]):
                 raise ValueError(f"weight {weights[i]!r} for coordinate {i} is not an integer")
         return cls("weak", *_normalize_block(weights, r), r)
 

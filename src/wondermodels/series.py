@@ -9,10 +9,10 @@ series, so that the coefficient of q^eq t^et z^ez w^ew is
 
 Every series the formula layer builds is integral in this scaling
 (den = 1), so the kernel multiplies ints and never builds a Fraction;
-only substituting a rational for w, or a deliberately misread formula,
-brings in den > 1.  The form is canonical: no stored numerator is zero,
-and den shares no factor with all of them.  `terms` gives a read-only
-Fraction view keyed by (eq, et, ez, ew), built on access.
+only substituting a rational for w, or selftest's deliberately misread
+formula, brings in den > 1.  The form is canonical: no stored numerator
+is zero, and den shares no factor with all of them.  `terms` gives a
+read-only Fraction view keyed by (eq, et, ez, ew), built on access.
 
 A product is the binomial convolution C_n = sum_k binom(n,k) A_k B_(n-k)
 of the slices, and exp and 1/(1-s) are the O(trunc^2) coefficient
@@ -149,24 +149,8 @@ class TruncatedSeries:
             return NotImplemented
         return (self.trunc, self.den, self.slices) == (other.trunc, other.den, other.slices)
 
-    def __hash__(self):
-        return hash((self.trunc, self.den,
-                     tuple(frozenset(sl.items()) for sl in self.slices)))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return add(self, scale(other, -1))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return mul(self, other)
-
     def __repr__(self):
         return f"TruncatedSeries(trunc={self.trunc}, {sum(map(len, self.slices))} terms)"
-
-    def __str__(self):
-        return format_series(self)
 
 
 class Terms(Mapping):
@@ -195,30 +179,6 @@ class Terms(Mapping):
         if not 0 <= et <= s.trunc or (eq, ez, ew) not in s.slices[et]:
             raise KeyError(key)
         return Fraction(s.slices[et][eq, ez, ew], s.den * math.factorial(et))
-
-
-def _sorted_terms(s: TruncatedSeries):
-    """(key, coefficient) pairs sorted by (t, z, w, q) degree."""
-    for et, sl in enumerate(s.slices):
-        scale_den = s.den * math.factorial(et)
-        for eq, ez, ew in sorted(sl, key=lambda m: (m[1], m[2], m[0])):
-            yield (eq, et, ez, ew), Fraction(sl[eq, ez, ew], scale_den)
-
-
-def format_series(s: TruncatedSeries) -> str:
-    """Human-readable form, terms sorted by (t, z, w, q) degree."""
-    parts = []
-    for key, c in _sorted_terms(s):
-        factors = []
-        if c != 1 or key == (0, 0, 0, 0):
-            factors.append(str(c))
-        for name, e in zip("qtzw", key):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        parts.append("*".join(factors))
-    return " + ".join(parts) or "0"
 
 
 def _same_trunc(a: TruncatedSeries, b: TruncatedSeries) -> int:
@@ -538,9 +498,10 @@ def assert_degree_bounds(s: TruncatedSeries) -> TruncatedSeries:
 
 def to_records(s: TruncatedSeries) -> list[dict]:
     """JSON-ready term list, sorted by (t, z, w, q) exponents."""
-    return [{"q": eq, "t": et, "z": ez, "w": ew,
-             "num": c.numerator, "den": c.denominator}
-            for (eq, et, ez, ew), c in _sorted_terms(s)]
+    return [{"q": eq, "t": et, "z": ez, "w": ew, "num": c.numerator, "den": c.denominator}
+            for et, sl in enumerate(s.slices) for den in [s.den * math.factorial(et)]
+            for eq, ez, ew in sorted(sl, key=lambda m: (m[1], m[2], m[0]))
+            for c in [Fraction(sl[eq, ez, ew], den)]]
 
 
 def dump_json(s: TruncatedSeries, name: str = "") -> str:

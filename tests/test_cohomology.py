@@ -94,7 +94,7 @@ def test_admissible_function_exponent_zero_not_stored():
         AdmissibleFunction.from_dict(g, {a: 0})
 
 
-@pytest.mark.parametrize("exponent", [1.9, Fraction(3, 2), 2.0, "2"])
+@pytest.mark.parametrize("exponent", [1.9, Fraction(3, 2), 2.0, "2", True])
 def test_admissible_function_refuses_non_integer_exponents(exponent):
     g = GroupId(1, 1, 4)
     a = weak((1, 2, 3, 4), (0, 0, 0, 0), 1)
@@ -281,7 +281,7 @@ def test_admissible_supports_are_the_nested_sets_with_d_at_least_2(rpn, weak_onl
         if all(d >= 2 for d in ds.values()):
             want[frozenset(members)] = ds
     got = {}
-    for uni, _, ds in _admissible_supports(g, weak_only):
+    for uni, _, ds, _ in _admissible_supports(g, weak_only):
         support = frozenset(uni.elems[i] for i, _ in ds)
         assert support not in got
         got[support] = {uni.elems[i]: d for i, d in ds}
@@ -296,7 +296,7 @@ def test_validation_bounds_exponents_at_the_d_value_of_a_direct_sum(rpn):
     # members of dimension >= 2 inside one of d >= 2 need dimension 6
     g = GroupId(*rpn)
     cases = 0
-    for uni, _, ds in _admissible_supports(g):
+    for uni, _, ds, _ in _admissible_supports(g):
         support = [uni.elems[i] for i, _ in ds]
         for a in support:
             inside = [c for c in support if c != a and contains(a, c)]
@@ -539,11 +539,12 @@ def test_malformed_exponent_out_of_range():
 
 @pytest.mark.parametrize("part,ground", [
     (Part((1, 2.0, 3), (0, 0, 0), 1), 3),  # passes the cover check, as 2.0 == 2
+    (Part((True, 2, 3), (0, 0, 0), 1), 3),  # and so does True == 1
     (Part((1, 2, 3), (0, 1.5, 0), 1), 3),
     (Part((1, 2, 3), (0, "1", 0), 1), 3),
     (Part((1, 2, 3), (0, 1, 0), 1.0), 3),
     (Part((1, 2, 3), (0, 1, 0), 1), 3.0),
-], ids=["member", "float-weight", "str-weight", "exponent", "ground-size"])
+], ids=["member", "bool-member", "float-weight", "str-weight", "exponent", "ground-size"])
 def test_malformed_non_integer_entries(part, ground):
     with pytest.raises(MalformedPartition, match="is not an integer"):
         dec((part,), ground, GroupId(2, 1, 3))
@@ -557,6 +558,15 @@ def test_malformed_non_integer_member_beside_int_members():
     assert wp.parts == parts
     assert WeightedPartition(4, parts[::-1]) == wp
     with pytest.raises(MalformedPartition, match="is not an integer"):
+        decode_partition(wp, GroupId(1, 1, 3))
+
+
+def test_malformed_bool_member_sorts_after_the_int_members():
+    # as True == 1, the key of (True, 2) would sort it before (1, 3, 4)
+    parts = (Part((1, 3, 4), (0, 0, 0), 1), Part((True, 2), (0, 0), 0))
+    wp = WeightedPartition(4, parts[::-1])
+    assert wp.parts == parts
+    with pytest.raises(MalformedPartition, match="True is not an integer"):
         decode_partition(wp, GroupId(1, 1, 3))
 
 

@@ -10,6 +10,7 @@ from wondermodels.cli import SERIES_REGISTRY
 from wondermodels.formulas import (
     D3_DEGENERATE_NOTE,
     _blocks,
+    _gamma,
     _x_source,
     big_gamma,
     cal_k,
@@ -46,6 +47,11 @@ from wondermodels.series import (
     scale,
     subst_z_derivative,
     truncated,
+)
+from wondermodels.selftest import (
+    _misread_big_gamma,
+    _misread_blocks,
+    misread_phi_full_monomial,
 )
 
 
@@ -161,13 +167,13 @@ def test_phi_domain():
 def test_literal_reading_agrees_through_n3():
     for r in (2, 3):
         a = phi_full_monomial(r, 3)
-        b = phi_full_monomial(r, 3, literal_reading=True)
+        b = misread_phi_full_monomial(r, 3)
         for n in (2, 3):
             assert poincare_from_phi(a, n) == poincare_from_phi(b, n)
 
 
 def test_literal_reading_breaks_at_n4():
-    bad = phi_full_monomial(2, 4, literal_reading=True)
+    bad = misread_phi_full_monomial(2, 4)
     with pytest.raises(ArithmeticError):
         poincare_from_phi(bad, 4)
 
@@ -252,14 +258,16 @@ def test_tilde_gamma_is_one_exp_of_the_three_product_form():
 
 
 def test_literal_blocks_equal_their_fraction_terms():
-    # the literal reading's (tr/i!)^i over one shared den, against the
-    # Fraction coefficients r^(i-1) / (i!)^i of q^(e+1) t^i z
+    # selftest's misread (tr/i!)^i over one shared den, against the
+    # Fraction coefficients r^(i-1) / (i!)^i of q^(e+1) t^i z, and the
+    # structural (rt)^i/i! in integer slices, against r^(i-1) / i!
     for r in range(1, 5):
         for trunc in range(9):
-            want = TruncatedSeries(trunc, {
-                (e + 1, i, 1, 0): Fraction(r ** (i - 1), math.factorial(i) ** i)
-                for i in range(3, trunc + 1) for e in range(i - 2)})
-            assert _blocks(r, trunc, literal_reading=True) == want, (r, trunc)
+            for build, power in ((_misread_blocks, lambda i: i), (_blocks, lambda i: 1)):
+                want = TruncatedSeries(trunc, {
+                    (e + 1, i, 1, 0): Fraction(r ** (i - 1), math.factorial(i) ** power(i))
+                    for i in range(3, trunc + 1) for e in range(i - 2)})
+                assert build(r, trunc) == want, (build, r, trunc)
 
 
 def test_tilde_big_gamma_lowest_terms():
@@ -476,10 +484,10 @@ def test_substituted_series_match_a_generous_source(trunc):
     w = 3 * trunc
     for r in range(1, 5):
         assert big_gamma(r, trunc) == _pipeline(gamma_series(r, w), trunc, True)
-        # the literal reading's denominators make sources past t^20 cost
-        # seconds each, so its source stops at 2 * trunc, still above the rule
-        assert big_gamma(r, trunc, literal_reading=True) == \
-            _pipeline(gamma_series(r, 2 * trunc, literal_reading=True), trunc, True)
+        # the misread blocks' denominators make sources past t^20 cost
+        # seconds each, so their source stops at 2 * trunc, still above the rule
+        assert _misread_big_gamma(r, trunc) == \
+            _pipeline(_gamma(_misread_blocks(r, 2 * trunc)), trunc, True)
         assert cal_k(r, trunc) == \
             add(TruncatedSeries.one(trunc), _pipeline(k_series(r, w), trunc, True))
     assert tilde_big_gamma(trunc) == _pipeline(tilde_gamma(w), trunc, True)
@@ -506,9 +514,11 @@ SOURCES = ([("psi", psi_series), ("X source", _x_source), ("tildeGamma source", 
             ("F", f_typeA)]
            + [(f"K r={r}", lambda trunc, bound=None, r=r: k_series(r, trunc, bound=bound))
               for r in range(1, 5)]
-           + [(f"gamma r={r}{' literal' * lit}",
-               lambda trunc, bound=None, r=r, lit=lit: gamma_series(r, trunc, lit, bound=bound))
-              for r in range(1, 5) for lit in (False, True)])
+           + [(f"gamma r={r}", lambda trunc, bound=None, r=r: gamma_series(r, trunc, bound=bound))
+              for r in range(1, 5)]
+           + [(f"misread gamma r={r}",
+               lambda trunc, bound=None, r=r: _gamma(_misread_blocks(r, trunc), bound=bound))
+              for r in range(1, 5)])
 
 
 @pytest.mark.parametrize("trunc", range(1, 15))

@@ -159,11 +159,39 @@ def test_weak_refuses_a_weight_for_a_coordinate_outside_the_support():
         W((1, 2), {1: 0, 2: 1, 7: 3}, 3)
 
 
-@pytest.mark.parametrize("weights", [{1: 0, 2: 1.5}, (0, 1.5), {1: 0.0, 2: 1}, (0, "1")],
+@pytest.mark.parametrize("weights", [{1: 0, 2: 1.5}, (0, 1.5), {1: 0.0, 2: 1}, (0, "1"),
+                                     (0, True), {1: 0, 2: True}],  # True == 1
                          ids=repr)
 def test_weak_refuses_a_weight_that_is_not_an_integer(weights):
     with pytest.raises(ValueError, match="is not an integer$"):
         W((1, 2), weights, 3)
+
+
+@pytest.mark.parametrize("coords", [(True,), (True, 2), (1.0, 2)], ids=repr)
+def test_strong_refuses_a_coordinate_that_is_not_an_int(coords):
+    # True would print as {0,True} and stand for the coordinate 1
+    with pytest.raises(ValueError, match="^strong element needs a nonempty set of int"):
+        S(coords, 2)
+
+
+@pytest.mark.parametrize("coords", [(True, 2), (1.0, 2), (1, "2")], ids=repr)
+def test_weak_refuses_a_coordinate_that_is_not_an_int(coords):
+    with pytest.raises(ValueError, match="^weak element needs >= 2 int coordinates"):
+        W(coords, (0, 1), 2)
+
+
+@pytest.mark.parametrize("x", [True, 1.0], ids=repr)
+def test_a_coordinate_that_is_not_an_int_is_not_canonical(x):
+    # the element equals its int spelling, hash and all, but is no member:
+    # True would pass for the coordinate 1, and 1.0 has no bit in the mask
+    g = GroupId(2, 1, 2)
+    e = BuildingElement("weak", (x, 2), (0, 1), 2)
+    assert e == W((1, 2), (0, 1), 2) and hash(e) == hash(W((1, 2), (0, 1), 2))
+    assert not e.is_canonical
+    assert not element_in_building(e, g)
+    with pytest.raises(ValueError, match="is not in the building set"):
+        is_nested((e,), g)
+    assert is_nested((W((1, 2), (0, 1), 2),), g)
 
 
 def test_text_forms():
@@ -875,7 +903,15 @@ def test_admissible_d_lists_are_the_d_values_of_each_support(rpn):
     # the maximal members the walk carries, and the d-list reads it back;
     # it must be the member's d-value in the whole support, by the join
     g = GroupId(*rpn)
-    for uni, mask, ds in _admissible_supports(g):
+    for uni, mask, ds, _ in _admissible_supports(g):
         want = [(i, oracle_d_value([uni.elems[j] for j in bits(mask & uni.below[i])],
                                    uni.elems[i], g)) for i in bits(mask)]
         assert ds == want, (rpn, mask)
+
+
+@pytest.mark.parametrize("rpn", UNIVERSE_GROUPS, ids="G({0[0]},{0[1]},{0[2]})".format)
+def test_admissible_d_keys_are_the_multisets_of_the_d_lists(rpn):
+    # poincare_bruteforce counts the supports by the d-key alone
+    g = GroupId(*rpn)
+    for _, mask, ds, key in _admissible_supports(g):
+        assert key == sum((g.n + 1) ** d for _, d in ds), (rpn, mask)
