@@ -53,11 +53,6 @@ class AdmissibleFunction(Record):
 
     __slots__ = FIELDS = ("group", "assignment")
 
-    def __init__(self, group: GroupId, assignment: tuple[tuple[BuildingElement, int], ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "assignment", assignment)
-        self.__post_init__()
-
     def __post_init__(self):
         exponents = dict(self.assignment)
         if len(exponents) != len(self.assignment):
@@ -192,13 +187,7 @@ def enumerate_admissible(g: GroupId, weak_only: bool = False):
 
 
 class Part(Record):
-    __slots__ = FIELDS = ("members", "weights", "exponent")
-
-    def __init__(self, members: tuple[int, ...], weights: tuple[int, ...], exponent: int):
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "weights", weights)  # aligned with members
-        object.__setattr__(self, "exponent", exponent)
-        self.__post_init__()
+    __slots__ = FIELDS = ("members", "weights", "exponent")  # weights align with members
 
     def __post_init__(self):
         if len(self.members) != len(self.weights):
@@ -229,11 +218,6 @@ class WeightedPartition(Record):
     """
 
     __slots__ = FIELDS = ("ground_size", "parts")
-
-    def __init__(self, ground_size: int, parts: tuple[Part, ...]):
-        object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "parts", parts)
-        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(sorted(self.parts, key=_members_key)))
@@ -395,18 +379,19 @@ def decode_partition(p: WeightedPartition, g: GroupId) -> AdmissibleFunction:
             support[i] = out
         return support[i]
 
-    # each block is built as it stands: its weights are reduced mod r, and
-    # validating the function refuses a block out of canonical form
+    # each block is built as it stands, its weights reduced mod r; the
+    # constructors refuse a block out of canonical form and a function
+    # that is not admissible, and their ValueError becomes MalformedPartition
     mapping = {}
-    for i, part in enumerate(parts):
-        if part.exponent:
-            wmap = resolve(i)
-            coords = tuple(sorted(wmap))
-            if wmap[coords[0]] != 0:
-                raise MalformedPartition("weights not normalized at the least leaf")
-            block = BuildingElement("weak", coords, tuple([wmap[x] for x in coords]), r)
-            mapping[block] = part.exponent
     try:
+        for i, part in enumerate(parts):
+            if part.exponent:
+                wmap = resolve(i)
+                coords = tuple(sorted(wmap))
+                if wmap[coords[0]] != 0:
+                    raise MalformedPartition("weights not normalized at the least leaf")
+                block = BuildingElement("weak", coords, tuple([wmap[x] for x in coords]), r)
+                mapping[block] = part.exponent
         f = AdmissibleFunction.from_dict(g, mapping)
     except ValueError as err:
         raise MalformedPartition(str(err)) from None

@@ -49,9 +49,13 @@ class Record:
 
     A subclass names its fields in FIELDS, in the order of its
     constructor, and those that identity reads in COMPARED (all of
-    FIELDS unless it says otherwise; two or more either way).  Its
-    __init__ sets each field with object.__setattr__ and then calls its
-    __post_init__, which checks them.  The base gives it:
+    FIELDS unless it says otherwise; two or more either way).  It writes
+    no __init__: the base writes one for it, which takes the fields by
+    position or keyword, refuses a missing, extra, unknown or repeated
+    one with TypeError, sets each with object.__setattr__ and then calls
+    the subclass's __post_init__, its one validity rule, which refuses
+    with ValueError a record out of canonical form.  The base also gives
+    it:
       - equality with an instance of the same class only, on COMPARED;
       - the hash of the tuple of the COMPARED values;
       - the repr ClassName(field=value, ...) over FIELDS;
@@ -67,6 +71,17 @@ class Record:
 
     def __init_subclass__(cls):
         cls._key = property(operator.attrgetter(*getattr(cls, "COMPARED", cls.FIELDS)))
+        # the constructor, written out over FIELDS as namedtuple and
+        # dataclasses write theirs: Python's own argument binding refuses a
+        # missing, extra, unknown or repeated field, and a call costs what
+        # a hand-written one does, where a generic *args constructor costs
+        # about half as much again
+        lines = [f"def __init__(self, {', '.join(cls.FIELDS)}):"]
+        lines += [f"    set_field(self, {name!r}, {name})" for name in cls.FIELDS]
+        scope = {"set_field": object.__setattr__}
+        exec("\n".join(lines + ["    self.__post_init__()"]), scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -92,12 +107,6 @@ class Record:
 
 class GroupId(Record):
     FIELDS = ("r", "p", "n")
-
-    def __init__(self, r: int, p: int, n: int):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        self.__post_init__()
 
     def __post_init__(self):
         if (not all(map(is_int, (self.r, self.p, self.n)))
@@ -131,55 +140,47 @@ class GroupId(Record):
 
 @functools.total_ordering
 class BuildingElement(Record):
-    """One irreducible subspace: a zero set ('strong') or a weighted block ('weak').
+    """One irreducible subspace: a zero set ('strong') or a weighted block
+    ('weak'), in the one canonical form that makes each subspace one
+    element.
 
-    support is a sorted tuple of coordinates; weights align with support,
-    are reduced mod r and normalized so weights[0] == 0.  Strong elements
-    carry empty weights.
+    support is a strictly increasing tuple of int coordinates >= 1, and r
+    an int >= 1.  A strong element carries no weights; a weak one has two
+    or more points and one weight per point, ints in 0..r-1 normalized so
+    weights[0] == 0.  The constructor refuses any other spelling with
+    ValueError: unnormalised weights, say, would make one subspace two
+    elements.
 
-    Two facts are decided from the fields once, at construction, and kept
-    in slots: mask, the support as a bitmask (bit x for coordinate x), and
-    is_canonical, whether the fields have that canonical form: the support
-    strictly increasing ints; a strong element without weights; a weak one
-    with one weight per support point, weights[0] == 0 and every weight an
-    int in 0..r-1.  Any other spelling of a subspace, such as unnormalised
-    weights, would make one subspace two elements.  The hash of the fields
-    that equality compares is taken once too.  The lattice view is built on
-    the first as_lattice() and kept.  None of them is a field, so equality,
-    hash, order, repr and FIELDS are those of the four fields alone; r is
-    left out of equality, hash and order.
+    The support as a bitmask (mask, bit x for coordinate x) and the hash
+    of the fields that equality compares are taken once, at construction,
+    and kept in slots; the lattice view is built on the first as_lattice()
+    and kept.  None of them is a field, so equality, hash, order, repr and
+    FIELDS are those of the four fields alone; r is left out of equality,
+    hash and order.
     """
 
     FIELDS = ("kind", "support", "weights", "r")
     # "strong" < "weak" alphabetically, giving strongs first in sort
     COMPARED = ("kind", "support", "weights")
-    __slots__ = FIELDS + ("mask", "is_canonical", "_hash", "_view")
-
-    def __init__(self, kind: str, support: tuple[int, ...], weights: tuple[int, ...], r: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "r", r)
-        self.__post_init__()
+    __slots__ = FIELDS + ("mask", "_hash", "_view")
 
     def __post_init__(self):
-        s, w = self.support, self.weights
-        if self.kind == "strong":
-            canonical = not w
-        else:
-            r = self.r
-            canonical = (self.kind == "weak" and len(w) == len(s) and w[:1] == (0,)
-                         and all([is_int(a) and 0 <= a < r for a in w]))
-        mask = 0
+        s, w, r = self.support, self.weights, self.r
+        mask, canonical = 0, is_int(r) and r >= 1
         for x in s:
-            if not is_int(x):  # no bit for it
+            if not is_int(x) or x < 1 or mask >> x:  # or not above every coordinate before it
                 canonical = False
-                continue
-            if mask >> x:  # x is not above every coordinate before it
-                canonical = False
+                break
             mask |= 1 << x
+        if self.kind == "strong":
+            canonical = canonical and s and not w
+        else:
+            canonical = (canonical and self.kind == "weak" and len(s) >= 2
+                         and len(w) == len(s) and w[0] == 0
+                         and all([is_int(a) and 0 <= a < r for a in w]))
+        if not canonical:
+            raise ValueError(f"{self!r} is not a zero set or block in canonical form")
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "is_canonical", canonical)
         object.__setattr__(self, "_hash", hash(self._key))
         object.__setattr__(self, "_view", None)
 
@@ -262,12 +263,6 @@ class LatticeElement(Record):
     """General lattice element: zero set plus pairwise disjoint weighted blocks."""
 
     __slots__ = FIELDS = ("r", "zeros", "blocks")
-
-    def __init__(self, r: int, zeros: tuple[int, ...], blocks: tuple[Block, ...]):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "blocks", blocks)
-        self.__post_init__()
 
     def __post_init__(self):
         if not self.blocks or (len(self.blocks) == 1 and not self.zeros):
@@ -417,10 +412,11 @@ def comparable(a: BuildingElement, b: BuildingElement) -> bool:
 
 
 def element_in_building(e: BuildingElement, g: GroupId) -> bool:
-    """Structural membership test, independent of the building set's size;
-    only an element in canonical form (is_canonical) is a member.  It reads
-    the facts the element decided at construction, with no lattice view."""
-    return (e.is_canonical and e.r == g.r and not e.mask & ~((2 << g.n) - 2)
+    """Structural membership test, independent of the building set's size:
+    r, the support's range and the one-component rule, with no lattice
+    view.  Every element is in canonical form, so its last coordinate is
+    its largest and its first is at least 1."""
+    return (e.r == g.r and e.support[-1] <= g.n
             and _one_component_in_building(e.kind == "strong", len(e.support), g))
 
 

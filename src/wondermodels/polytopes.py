@@ -38,18 +38,15 @@ TUBE_NODE_GUARD = 12
 class Graph(Record):
     FIELDS = ("nodes", "edges")
 
-    def __init__(self, nodes: tuple[int, ...], edges: frozenset[frozenset]):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+    def __post_init__(self):
+        nodes = set(self.nodes)
+        for e in self.edges:
+            if type(e) is not frozenset or len(e) != 2 or not e <= nodes:
+                raise ValueError(f"bad edge {e!r}")
 
     @classmethod
     def from_edges(cls, nodes, edges) -> "Graph":
-        ns = tuple(sorted(nodes))
-        es = frozenset(frozenset(e) for e in edges)
-        for e in es:
-            if len(e) != 2 or not e <= set(ns):
-                raise ValueError(f"bad edge {set(e)}")
-        return cls(ns, es)
+        return cls(tuple(sorted(nodes)), frozenset(frozenset(e) for e in edges))
 
     @functools.cached_property
     def _adjacency(self) -> dict[int, frozenset[int]]:

@@ -517,8 +517,8 @@ class QPolynomial:
     def __init__(self, coeffs: dict[int, int] | None = None):
         clean = {}
         for e, c in (coeffs or {}).items():
-            if e < 0:
-                raise ValueError("negative q-exponent")
+            if type(e) is not int or e < 0:  # a bool, 2.0 or 2.5 is no exponent
+                raise ValueError(f"q-exponent {e!r} is not an int >= 0")
             if c != int(c):
                 raise ValueError(f"non-integer coefficient {c!r} at q^{e}")
             if c:

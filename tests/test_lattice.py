@@ -182,16 +182,14 @@ def test_weak_refuses_a_coordinate_that_is_not_an_int(coords):
 
 @pytest.mark.parametrize("x", [True, 1.0], ids=repr)
 def test_a_coordinate_that_is_not_an_int_is_not_canonical(x):
-    # the element equals its int spelling, hash and all, but is no member:
-    # True would pass for the coordinate 1, and 1.0 has no bit in the mask
+    # the spelling would equal its int one, hash and all: True would pass
+    # for the coordinate 1, and 1.0 has no bit in the mask; the constructor
+    # refuses it, and the int spelling is a member
     g = GroupId(2, 1, 2)
-    e = BuildingElement("weak", (x, 2), (0, 1), 2)
-    assert e == W((1, 2), (0, 1), 2) and hash(e) == hash(W((1, 2), (0, 1), 2))
-    assert not e.is_canonical
-    assert not element_in_building(e, g)
-    with pytest.raises(ValueError, match="is not in the building set"):
-        is_nested((e,), g)
-    assert is_nested((W((1, 2), (0, 1), 2),), g)
+    with pytest.raises(ValueError, match="is not a zero set or block in canonical form$"):
+        BuildingElement("weak", (x, 2), (0, 1), 2)
+    e = BuildingElement("weak", (1, 2), (0, 1), 2)
+    assert e == W((1, 2), (0, 1), 2) and element_in_building(e, g) and is_nested((e,), g)
 
 
 def test_text_forms():
@@ -317,14 +315,17 @@ def test_predicates_match_the_set_based_reference(g):
         assert contains(a, b) == contains_by_sets(a, b), (a, b)
     r, n = g.r, g.n
     outside = [W((1, 2), (0, 0), r + 1), S((1,), r + 1), W((1, n + 1), (0, 0), r),
-               S((n + 1,), r), S((1, n + 1), r), BuildingElement("strong", (0, 1), (), r),
-               BuildingElement("weak", (1, 2), (0, r), r)]
+               S((n + 1,), r), S((1, n + 1), r)]
     if g.min_zero_set > 1:
         outside.append(S(range(1, min(g.min_zero_set, n + 1)), r))
     for e in elems + tuple(outside):
         assert element_in_building(e, g) == element_in_building_by_sets(e, g), e
     assert all(element_in_building(e, g) for e in elems)
     assert not any(element_in_building(e, g) for e in outside)
+    # a coordinate 0 or a weight r is no member either: it is never built
+    for fields in (("strong", (0, 1), (), r), ("weak", (1, 2), (0, r), r)):
+        with pytest.raises(ValueError, match="canonical form$"):
+            BuildingElement(*fields)
 
 
 ORACLE_GROUPS = [GroupId(r, p, n) for r in (1, 2, 3) for p in sorted({1, r})
@@ -353,16 +354,17 @@ def test_element_in_building_is_in_building_of_the_view(g):
         assert element_in_building(e, g) == in_building(e.as_lattice(), g) \
             == (e in members), e
     r, n = g.r, g.n
-    unnormalised = BuildingElement("weak", (1, 2), (1, 1), r)
     forged = [W((1, 2), (0, 1 % r), r + 1), S((1, 2), r + 1),  # wrong r
-              W((1, n + 1), (0, 0), r), S((n + 1,), r),         # a coordinate above n
-              unnormalised]
+              W((1, n + 1), (0, 0), r), S((n + 1,), r)]         # a coordinate above n
     if g.variant is Variant.RR and r == 2:
         forged.append(S((1, 2), r))                             # a size-2 zero set
     for e in forged:
         assert not element_in_building(e, g), e
-    # the view of the unnormalised block is one component all the same
-    assert in_building(unnormalised.as_lattice(), g)
+    # an unnormalised block, whose view would be one component all the
+    # same, is never built, so membership need not refuse it
+    assert in_building(LatticeElement(r, (), (((1, 2), (1, 1)),)), g)
+    with pytest.raises(ValueError, match="canonical form$"):
+        BuildingElement("weak", (1, 2), (1, 1), r)
 
 
 def test_lattice_element_refuses_overlaps():
@@ -385,7 +387,7 @@ def test_stored_mask_and_view_leave_identity_alone(rpn):
     bs = building_set(g)
     for e in bs:
         fresh = BuildingElement(e.kind, e.support, e.weights, e.r)
-        assert e.mask == sum(1 << x for x in e.support) and e.is_canonical
+        assert e.mask == sum(1 << x for x in e.support) and not hasattr(e, "is_canonical")
         assert e.as_lattice() is e.as_lattice()
         assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
         assert not e < fresh and not fresh < e and e <= fresh
@@ -393,7 +395,7 @@ def test_stored_mask_and_view_leave_identity_alone(rpn):
         assert not hasattr(e, "__dict__")
         for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
             assert twin == e and twin.r == e.r and twin.mask == e.mask
-            assert twin.is_canonical and twin.as_lattice() == e.as_lattice()
+            assert twin.as_lattice() == e.as_lattice()
     assert list(BuildingElement.FIELDS) == ["kind", "support", "weights", "r"]
     # read views and masks on the cached set, sort a fresh one beside it
     assert bs == tuple(sorted(oracle_building_elements(g)))
@@ -491,29 +493,35 @@ def test_is_nested_rejects_foreign_elements():
         is_nested({W((1, 2), (0, 1), 2)}, GroupId(1, 1, 3))
 
 
+# the fields of spellings out of canonical form
 MALFORMED = [
-    BuildingElement("weak", (1, 2), (1, 0), 3),     # W((1, 2), (0, 2), 3) unnormalised
-    BuildingElement("weak", (1, 2, 3), (0, 1), 3),  # fewer weights than points
-    BuildingElement("weak", (2, 1), (0, 1), 3),     # unsorted support
-    BuildingElement("weak", (1, 2), (0, 1.5), 3),   # a weight that is no int
-    BuildingElement("weak", (1, 2), (0, 1.0), 3),   # W((1, 2), (0, 1), 3) spelt in floats
-    BuildingElement("strong", (1, 2), (0, 0), 3),   # a zero set with weights
-    BuildingElement("strong", (2, 1), (), 3),       # unsorted support
-    BuildingElement("strong", (1, 1, 2), (), 3),    # repeated coordinate
+    ("weak", (1, 2), (1, 0), 3),     # W((1, 2), (0, 2), 3) unnormalised
+    ("weak", (1, 2, 3), (0, 1), 3),  # fewer weights than points
+    ("weak", (2, 1), (0, 1), 3),     # unsorted support
+    ("weak", (1, 2), (0, 1.5), 3),   # a weight that is no int
+    ("weak", (1, 2), (0, 1.0), 3),   # W((1, 2), (0, 1), 3) spelt in floats
+    ("strong", (1, 2), (0, 0), 3),   # a zero set with weights
+    ("strong", (2, 1), (), 3),       # unsorted support
+    ("strong", (1, 1, 2), (), 3),    # repeated coordinate
+    ("strong", (), (), 3),           # no support
+    ("weak", (1,), (0,), 3),         # a block on one point
+    ("weak", (0, 1), (0, 0), 3),     # coordinate 0
+    ("weak", (-1, 2), (0, 1), 3),    # a negative coordinate
+    ("weak", (1, 2), (0, 3), 3),     # weight r
+    ("weak", (1, 2), (0, 0), 0),     # r = 0
+    ("weak", (1, 2), (0, 0), True),  # r = True, which equals 1
+    ("zero", (1, 2), (), 3),         # neither strong nor weak
 ]
 
 
-@pytest.mark.parametrize("bad", MALFORMED, ids=repr)
-def test_predicates_refuse_elements_out_of_canonical_form(bad):
-    # a second spelling of a subspace would make one subspace two members:
-    # is_nested and is_nested_def once disagreed on the first pair below
-    g = GroupId(3, 1, 3)
-    assert not element_in_building(bad, g)
-    for s in ([bad], [bad, W((1, 2), (0, 2), 3)]):
-        with pytest.raises(ValueError):
-            is_nested(s, g)
-        with pytest.raises(ValueError):
-            is_nested_def(s, g)
+@pytest.mark.parametrize("fields", MALFORMED, ids="BuildingElement(kind={0[0]!r}, support="
+                         "{0[1]!r}, weights={0[2]!r}, r={0[3]!r})".format)
+def test_predicates_refuse_elements_out_of_canonical_form(fields):
+    # a second spelling of a subspace would make one subspace two members
+    # (is_nested and is_nested_def once disagreed on the first pair here),
+    # so the constructor refuses it and no predicate ever meets one
+    with pytest.raises(ValueError, match="is not a zero set or block in canonical form$"):
+        BuildingElement(*fields)
 
 
 def test_is_nested_type_a_basics():

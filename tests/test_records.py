@@ -1,5 +1,6 @@
 """The contract of the package's immutable value classes: equality, hash,
-repr, keyword construction, immutability, copies and pickles."""
+repr, construction by position or keyword and its refusals, immutability,
+copies and pickles."""
 
 import copy
 import pickle
@@ -95,3 +96,38 @@ def test_building_elements_order_by_their_compared_fields():
         weak < ("weak", (1, 2), (0, 1))
     with pytest.raises(TypeError):
         GroupId(1, 1, 3) < GroupId(1, 1, 4)
+
+
+@pytest.mark.parametrize("rec,key,text,fields", RECORDS, ids=IDS)
+def test_the_base_constructor_refuses_a_wrong_argument_list(rec, key, text, fields):
+    # one constructor for every record: fields by position or keyword, and
+    # TypeError on a missing, extra, unknown or repeated one
+    cls, names = type(rec), list(fields)
+    values = [fields[name] for name in names]
+    assert cls(*values[:1], **{name: fields[name] for name in names[1:]}) == rec
+    with pytest.raises(TypeError, match=f"missing 1 required positional argument: {names[-1]!r}"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=f"missing 1 required positional argument: {names[0]!r}"):
+        cls(**{name: fields[name] for name in names[1:]})
+    with pytest.raises(TypeError, match="positional arguments but .* were given$"):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*values, extra=None)
+    with pytest.raises(TypeError, match=f"multiple values for argument {names[0]!r}"):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError, match=f"^{cls.__name__}.__init__"):
+        cls()
+
+
+@pytest.mark.parametrize("build,message", [
+    # a negative coordinate once raised "negative shift count" from the mask
+    (lambda: BuildingElement("weak", (-1, 2), (0, 1), 2), "canonical form$"),
+    (lambda: BuildingElement.weak((1, 2), (0, 0), True), "canonical form$"),  # r = True
+    # an edge to no node once built, and neighbors(1) then raised KeyError
+    (lambda: Graph((1, 2), frozenset({frozenset({1, 5})})), "^bad edge"),
+    (lambda: Graph((1, 2), frozenset({(1, 2)})), "^bad edge"),
+    (lambda: Graph((1, 2), frozenset({frozenset({1})})), "^bad edge"),
+], ids=["negative-coordinate", "bool-r", "edge-off-the-graph", "tuple-edge", "loop"])
+def test_a_record_out_of_canonical_form_is_refused_at_construction(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

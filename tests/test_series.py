@@ -196,6 +196,13 @@ def test_qpolynomial_refuses_non_integer_coefficients():
     assert zero == QPolynomial() and zero.coeffs == {} and str(zero) == "0"
 
 
+@pytest.mark.parametrize("exponent", [2.0, 2.5, True, Fraction(2), -1], ids=repr)
+def test_qpolynomial_refuses_an_exponent_that_is_not_an_int(exponent):
+    # 2.0 would print as q^2.0, 2.5 would be a degree, and True equals 1
+    with pytest.raises(ValueError, match="is not an int >= 0$"):
+        QPolynomial({exponent: 1, 0: 1})
+
+
 # small random series over a fixed exponent box, coefficients in a tame range
 @st.composite
 def small_series(draw, trunc=4, allow_zw=True):

@@ -200,3 +200,20 @@ def test_no_library_module_imports_dataclasses():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_every_record_has_the_one_constructor_and_a_validity_rule():
+    # lattice.Record's __init__ sets the fields and calls __post_init__,
+    # each record's one validity rule, so no record writes a constructor
+    found, records = [], set()
+    for path, tree in _trees():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "Record" for b in cls.bases):
+                records.add(cls.name)
+                methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+                if "__init__" in methods or "__post_init__" not in methods:
+                    found.append(f"{path.name}:{cls.lineno} {cls.name}")
+    assert records == {"GroupId", "BuildingElement", "LatticeElement", "AdmissibleFunction",
+                       "Part", "WeightedPartition", "Graph"}
+    assert found == []
