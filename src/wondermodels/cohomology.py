@@ -105,17 +105,20 @@ def _admissible_supports(g: GroupId, weak_only: bool = False):
     It lists the rest inside first (by dimension, stable over the
     building set's order), so no member joins a set after a member that
     contains it: each member's d-value is final as soon as it joins.
-    Two members that hold a common member are comparable (their sum is
-    not direct), so the maximal members inside a newcomer i are the
-    maximal members of the set it joins that lie inside it: tops &
-    below[i], with tops as nested_masks hands it to the veto, which is
-    what lattice.d_value reads.  So the veto reads the d-value off the
-    universe once, when the member joins, and keeps it at the member's
-    place in the set, which the d-list reads back; it also adds the
-    member's digit to the d-key of the set it joins and keeps the sum at
-    the next place.  nested_masks yields each set right after the veto
-    passed its newest member, and a place is only rewritten on another
-    branch, after every set through this one.
+    The universe's build visits inside first whatever the listing, but
+    its bits keep the listing's indices and the walk adds members in
+    index order, so the walk keeps this listing of its own.  Two members
+    that hold a common member are comparable (their sum is not direct),
+    so the maximal members inside a newcomer i are the maximal members
+    of the set it joins that lie inside it: tops & below[i], with tops
+    as nested_masks hands it to the veto, which is what lattice.d_value
+    reads.  So the veto reads the d-value off the universe once, when
+    the member joins, and keeps it at the member's place in the set,
+    which the d-list reads back; it also adds the member's digit to the
+    d-key of the set it joins and keeps the sum at the next place.
+    nested_masks yields each set right after the veto passed its newest
+    member, and a place is only rewritten on another branch, after every
+    set through this one.
 
     Two guards bound the work.  A group whose building set is larger
     than lattice.BUILDING_SET_GUARD is refused by building_set, counted

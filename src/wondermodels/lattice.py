@@ -42,6 +42,11 @@ def is_int(v) -> bool:
     return type(v) is int
 
 
+def _is_r(r) -> bool:
+    """The one rule for r, the order of the roots of unity: an int >= 1."""
+    return is_int(r) and r >= 1
+
+
 class Record:
     """Base of the package's immutable value classes: GroupId,
     BuildingElement and LatticeElement here, AdmissibleFunction, Part and
@@ -166,7 +171,7 @@ class BuildingElement(Record):
 
     def __post_init__(self):
         s, w, r = self.support, self.weights, self.r
-        mask, canonical = 0, is_int(r) and r >= 1
+        mask, canonical = 0, _is_r(r)
         for x in s:
             if not is_int(x) or x < 1 or mask >> x:  # or not above every coordinate before it
                 canonical = False
@@ -219,6 +224,8 @@ class BuildingElement(Record):
         for i in support:
             if not is_int(weights[i]):
                 raise ValueError(f"weight {weights[i]!r} for coordinate {i} is not an integer")
+        if not _is_r(r):  # the constructor refuses r before a weight is reduced mod r
+            return cls("weak", support, tuple([weights[i] for i in support]), r)
         return cls("weak", *_normalize_block(weights, r), r)
 
     @property
@@ -475,16 +482,17 @@ class _NestedUniverse:
     comes on top; its one home is _nested_universe, and partner holds the
     twins it reads.
 
-    The build meets the elements in order and groups them by support
-    bitmask.  Each element is decided against every group met before it,
-    a group at a time, from the two supports alone:
-      - one support inside the other: a zero set holds everything on a
-        support inside its own, and a block holds exactly one block on
-        each smaller support, the one whose weights are its own restricted
-        there and renormalised (found by one lookup, or compared when the
-        larger block came first); no block holds a zero set.  On one
-        support the zero set holds every block, and two blocks are
-        incomparable;
+    The build meets the elements inside first (by dimension, stable over
+    the caller's order).  Whatever holds an element has the larger
+    dimension and is met after it, so a newcomer only looks down, at the
+    elements met before it grouped by support bitmask, a group at a time,
+    and is decided from the two supports alone:
+      - a zero set holds everything on a support inside its own, every
+        block on its own support included;
+      - a block holds exactly one block on each smaller support, the one
+        whose weights are its own restricted there and renormalised,
+        found by one lookup; no block holds a zero set, and two blocks on
+        one support are incomparable;
       - incomparable pairs whose supports meet are not nested: their join
         is one component on the union of the supports.  A block there is
         in the building set, and a zero set (r >= 2 only) is too, by the
@@ -507,20 +515,16 @@ class _NestedUniverse:
         self.ok = ok = [0] * nb          # bit j: the pair {i,j} is nested
         self.below = below = [0] * nb    # bit j: elems[j] strictly inside elems[i]
         self.partner = partner = [-1] * nb  # the G(2,2,n) twin of elems[i]
-        on: dict[int, int] = {}          # support bitmask: bits of the elements so far
+        on: dict[int, int] = {}          # support bitmask: bits of the elements met so far
         blocks: dict[tuple, int] = {}    # (support bitmask, weights): that block
-        weak = 0                         # bits of the blocks so far
-        for i, a in enumerate(elems):
+        weak = 0                         # bits of the blocks met so far
+        for i in sorted(range(nb), key=lambda i: elems[i].dimension()):
+            a = elems[i]
             s, w = a.mask, a.weights
-            inside = holding = 0  # earlier elements inside a, and holding a
+            inside = 0  # elements met so far inside a
             for t, there in on.items():
                 if t & ~s:
-                    if not s & ~t:  # s strictly inside t: a zero set there holds a
-                        for j in bits(there):
-                            c = elems[j]
-                            if not c.weights or w and _restricted(c, s, r) == w:
-                                holding |= 1 << j
-                    elif not t & s:
+                    if not t & s:  # disjoint supports; meeting ones are not nested
                         for j in bits(there):
                             self._join_decides(g, i, j)
                 elif not w:  # a is a zero set, and t lies in its support
@@ -530,24 +534,18 @@ class _NestedUniverse:
                         j = blocks.get((t, _restricted(a, t, r)))
                         if j is not None:
                             inside |= 1 << j
-                elif there & ~weak:  # a is a block, after the zero set on its support
-                    holding |= there & ~weak
                 elif not _one_component_in_building(True, len(a.support), g):  # twins
                     j = there.bit_length() - 1
                     partner[i], partner[j] = j, i
                     self._join_decides(g, i, j)
             bit = 1 << i
-            near = inside | holding
-            if near:
+            if inside:
                 below[i] = inside
-                ok[i] |= near
-                while near:
-                    low = near & -near
-                    near ^= low
-                    j = low.bit_length() - 1
-                    ok[j] |= bit
-                    if holding & low:
-                        below[j] |= bit
+                ok[i] |= inside
+                while inside:
+                    low = inside & -inside
+                    inside ^= low
+                    ok[low.bit_length() - 1] |= bit
             on[s] = on.get(s, 0) | bit
             if w:
                 blocks[s, w] = i

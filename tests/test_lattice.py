@@ -850,8 +850,9 @@ UNIVERSE_GROUPS = sorted({(r, p, n) for r in (1, 2, 3) for p in {1, r}
 
 @pytest.mark.parametrize("rpn", UNIVERSE_GROUPS, ids="G({0[0]},{0[1]},{0[2]})".format)
 def test_universe_matches_pairwise_reference(rpn, monkeypatch):
-    # the full building set, and the inside-first d >= 2 list of the
-    # brute-force Poincare route; the build asks join exactly the
+    # the full building set, the same reversed (every larger element
+    # listed before what lies inside it), and the inside-first d >= 2 list
+    # of the brute-force Poincare route; the build asks join exactly the
     # incomparable pairs on disjoint supports and the twin pairs, and no
     # other, so a traced run counts the same join calls as before the
     # supports decided every other pair
@@ -859,6 +860,7 @@ def test_universe_matches_pairwise_reference(rpn, monkeypatch):
     asked = []
     monkeypatch.setattr(lattice, "join", lambda a, b: asked.append(1) or join(a, b))
     builds = [lambda: _NestedUniverse(g, building_set(g)),
+              lambda: _NestedUniverse(g, building_set(g)[::-1]),
               lambda: next(_admissible_supports(g))[0]]
     for build in builds:
         asked.clear()
@@ -901,6 +903,8 @@ def test_universe_matches_pairwise_reference_on_arbitrary_tuples(rpn):
         elems = list(elems)
         rng.shuffle(elems)
         uni = _NestedUniverse(g, tuple(elems))
+        # the build visits inside first, but bit i stays the caller's element i
+        assert uni.elems == tuple(elems), (rpn, elems)
         assert (uni.ok, uni.below, uni.partner) == universe_by_pairs(g, uni.elems), \
             (rpn, elems)
 

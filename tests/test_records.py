@@ -123,11 +123,16 @@ def test_the_base_constructor_refuses_a_wrong_argument_list(rec, key, text, fiel
     # a negative coordinate once raised "negative shift count" from the mask
     (lambda: BuildingElement("weak", (-1, 2), (0, 1), 2), "canonical form$"),
     (lambda: BuildingElement.weak((1, 2), (0, 0), True), "canonical form$"),  # r = True
+    # weak once reduced its weights mod r before r was checked: r = 0 raised
+    # ZeroDivisionError, and r = 'x' a TypeError
+    (lambda: BuildingElement.weak((1, 2), (0, 0), 0), "canonical form$"),
+    (lambda: BuildingElement.weak((1, 2), (0, 0), "x"), "canonical form$"),
     # an edge to no node once built, and neighbors(1) then raised KeyError
     (lambda: Graph((1, 2), frozenset({frozenset({1, 5})})), "^bad edge"),
     (lambda: Graph((1, 2), frozenset({(1, 2)})), "^bad edge"),
     (lambda: Graph((1, 2), frozenset({frozenset({1})})), "^bad edge"),
-], ids=["negative-coordinate", "bool-r", "edge-off-the-graph", "tuple-edge", "loop"])
+], ids=["negative-coordinate", "bool-r", "zero-r", "str-r", "edge-off-the-graph",
+        "tuple-edge", "loop"])
 def test_a_record_out_of_canonical_form_is_refused_at_construction(build, message):
     with pytest.raises(ValueError, match=message):
         build()
